@@ -19,9 +19,11 @@
 #   test         full test suite, including the chaos fault-injection
 #                harness in tests/chaos.rs, the batch-engine unit tests,
 #                and the kernel-equivalence suites (CSR-vs-dense RWR
-#                proptests in crates/graph/tests/csr_equivalence.rs,
-#                lane-vs-block forest proptests in briq-ml, and the
-#                arena steady-state allocation test)
+#                proptests in crates/graph/tests/csr_equivalence.rs, the
+#                real-graph CSR-vs-dense replay in tests/csr_replay.rs,
+#                the pruned-vs-exhaustive hot path in
+#                tests/hot_path_equivalence.rs, and the arena
+#                steady-state allocation test)
 #   bench-smoke  throughput smoke of the batch engine on a seeded corpus at
 #                --jobs 1 and --jobs $(nproc); writes BENCH_throughput.json
 #                (docs/min, per-stage timings incl. classify seconds and
@@ -49,28 +51,20 @@
 #                tolerance for all gates). Refuses to compare runs whose
 #                index_enabled states differ; skips loudly when HEAD has
 #                no artifact or one predating the compared schema fields.
-#   determinism  briq-align over the same seeded page corpus five times:
+#   determinism  briq-align over the same seeded page corpus four times:
 #                --jobs 1, --jobs $(nproc or 8), --jobs 1 with
-#                BRIQ_NO_PRUNE=1 (bound-based pruning disabled), --jobs 1
-#                with --trace/--metrics (observability recording on), and
-#                --jobs 1 with BRIQ_NO_INDEX=1 (exhaustive candidate
-#                pairing, no retrieval index); fails unless alignment
-#                stdout and the diagnostics JSONL (which carries no
-#                timings) are byte-for-byte identical across all five —
-#                worker count, pruning, tracing, AND the retrieval index
-#                must be unobservable in the output. The traced run's
-#                trace file must also be non-empty valid-ish JSON.
-#   kernels      briq-align --json over the same seeded corpus three
-#                times: default (CSR walk + lane traversal), BRIQ_NO_CSR=1
-#                (dense adjacency RWR oracle), and BRIQ_NO_LANES=1
-#                (row-at-a-time forest oracle); alignment stdout and the
-#                diagnostics JSONL must be byte-for-byte identical, so
-#                both fast-path kernels are provably unobservable in real
-#                output, not just in unit proptests
+#                --trace/--metrics (observability recording on), and
+#                --jobs 1 with --no-index (exhaustive candidate pairing,
+#                no retrieval index); fails unless alignment stdout and
+#                the diagnostics JSONL (which carries no timings) are
+#                byte-for-byte identical across all four — worker count,
+#                tracing, AND the retrieval index must be unobservable
+#                in the output. The traced run's trace file must also be
+#                non-empty valid-ish JSON.
 #   store        incremental-vs-oracle equivalence of the versioned
 #                alignment store (DESIGN.md §15). Two checks on a seeded
 #                corpus: (a) unchanged corpus — briq-align --repeat 2
-#                against one warm store must byte-match a BRIQ_NO_STORE=1
+#                against one warm store must byte-match a --no-store
 #                full recompute in stdout and diagnostics JSONL, and the
 #                warm repetition's stderr line must report hit_rate 1.000
 #                (every document served from cache); (b) mutated corpus —
@@ -81,7 +75,7 @@
 #                invalidation (both cache service and re-alignment
 #                actually happened).
 #   persist      durability gate for the on-disk store (DESIGN.md §16).
-#                Byte-compares a cold BRIQ_NO_STORE=1 oracle against (1) a
+#                Byte-compares a cold --no-store oracle against (1) a
 #                fresh --store-dir run, (2) a restart-warmed run in a new
 #                process over the same directory (which must recover every
 #                entry and report hit_rate 1.000 / mentions_realigned 0),
@@ -118,7 +112,7 @@ NPROC="$(nproc 2>/dev/null || echo 1)"
 SPEEDUP_MIN="${SPEEDUP_MIN:-2.0}"
 BENCH_DOCS="${BENCH_DOCS:-60}"
 BENCH_SEED="${BENCH_SEED:-20190408}"
-ALL_STAGES=(fmt clippy build test docs bench-smoke perf-trend determinism kernels store persist serve)
+ALL_STAGES=(fmt clippy build test docs bench-smoke perf-trend determinism store persist serve)
 
 # Set once bench-smoke has written a fresh BENCH_throughput.json, so a
 # later perf-trend stage in the same invocation reuses it instead of
@@ -161,7 +155,7 @@ stage_bench_smoke() {
     cpm="$(awk -F': ' '/"candidates_per_mention"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
     cells="$(awk -F': ' '/"cells_per_mention"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
     if [ "$idx_on" != "true" ]; then
-        echo "bench-smoke: retrieval index is off (BRIQ_NO_INDEX set?); the smoke must measure the indexed path" >&2
+        echo "bench-smoke: retrieval index is off; the smoke must measure the indexed path" >&2
         return 1
     fi
     awk -v r="$recall" 'BEGIN { exit !(r == 1) }' || {
@@ -223,9 +217,29 @@ stage_perf_trend() {
     fi
 }
 
+# Fail stage $1 unless run $3 reproduces run $2 byte for byte: the same
+# exit code ($4 vs $5), identical alignment stdout (out_<run>.json) and
+# identical diagnostics JSONL (diag_<run>.jsonl) in directory $6. $7 says
+# what run $3 changed, for the failure messages.
+same_run() {
+    local stage="$1" a="$2" b="$3" rc_a="$4" rc_b="$5" dir="$6" what="$7" kind ext
+    if [ "$rc_b" -ne "$rc_a" ]; then
+        echo "$stage: exit code diverged $what ($rc_b vs $rc_a)" >&2
+        return 1
+    fi
+    for kind in out:json diag:jsonl; do
+        ext="${kind#*:}" kind="${kind%:*}"
+        cmp -s "$dir/${kind}_$a.$ext" "$dir/${kind}_$b.$ext" || {
+            echo "$stage: ${kind}_$b.$ext differs $what" >&2
+            diff "$dir/${kind}_$a.$ext" "$dir/${kind}_$b.$ext" | head -20 >&2
+            return 1
+        }
+    done
+}
+
 stage_determinism() {
     cargo build --offline --release -q -p briq-bench || return 1
-    local dir jobs_hi rc1 rc2 rc_np
+    local dir jobs_hi rc1 rc2
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
     jobs_hi=$(( NPROC > 1 ? NPROC : 8 ))
@@ -240,40 +254,12 @@ stage_determinism() {
     rc2=$?
     # 0 (clean) and 2 (degraded-but-complete) are both valid outcomes, but
     # they must agree across worker counts like everything else.
-    if [ "$rc1" -ne "$rc2" ] || { [ "$rc1" -ne 0 ] && [ "$rc1" -ne 2 ]; }; then
-        echo "determinism: exit codes diverged or failed (jobs 1: $rc1, jobs $jobs_hi: $rc2)" >&2
+    if [ "$rc1" -ne 0 ] && [ "$rc1" -ne 2 ]; then
+        echo "determinism: --jobs 1 run failed (exit $rc1)" >&2
         return 1
     fi
-    cmp -s "$dir/out_1.json" "$dir/out_n.json" || {
-        echo "determinism: alignment output differs between --jobs 1 and --jobs $jobs_hi" >&2
-        diff "$dir/out_1.json" "$dir/out_n.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_n.jsonl" || {
-        echo "determinism: diagnostics JSONL differs between --jobs 1 and --jobs $jobs_hi" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_n.jsonl" | head -20 >&2
-        return 1
-    }
-    # Third run with bound-based pruning disabled: the pruning engine must
-    # be unobservable in the output, not just across worker counts.
-    BRIQ_NO_PRUNE=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_np.jsonl" > "$dir/out_np.json"
-    rc_np=$?
-    if [ "$rc_np" -ne "$rc1" ]; then
-        echo "determinism: exit code diverged with BRIQ_NO_PRUNE=1 ($rc_np vs $rc1)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_1.json" "$dir/out_np.json" || {
-        echo "determinism: alignment output differs with BRIQ_NO_PRUNE=1" >&2
-        diff "$dir/out_1.json" "$dir/out_np.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_np.jsonl" || {
-        echo "determinism: diagnostics JSONL differs with BRIQ_NO_PRUNE=1" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_np.jsonl" | head -20 >&2
-        return 1
-    }
-    # Fourth run with observability recording on: spans/metrics are
+    same_run determinism 1 n "$rc1" "$rc2" "$dir" "with --jobs $jobs_hi" || return 1
+    # Third run with observability recording on: spans/metrics are
     # observation-only, so the traced run must match byte for byte too,
     # and must actually produce the trace and metrics artifacts.
     local rc_tr
@@ -282,20 +268,7 @@ stage_determinism() {
         --trace "$dir/trace.json" --metrics "$dir/metrics.jsonl" \
         > "$dir/out_tr.json" 2> /dev/null
     rc_tr=$?
-    if [ "$rc_tr" -ne "$rc1" ]; then
-        echo "determinism: exit code diverged with --trace/--metrics ($rc_tr vs $rc1)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_1.json" "$dir/out_tr.json" || {
-        echo "determinism: alignment output differs with --trace/--metrics on" >&2
-        diff "$dir/out_1.json" "$dir/out_tr.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_tr.jsonl" || {
-        echo "determinism: diagnostics JSONL differs with --trace/--metrics on" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_tr.jsonl" | head -20 >&2
-        return 1
-    }
+    same_run determinism 1 tr "$rc1" "$rc_tr" "$dir" "with --trace/--metrics on" || return 1
     grep -q '"traceEvents"' "$dir/trace.json" || {
         echo "determinism: trace file missing traceEvents" >&2
         return 1
@@ -304,83 +277,15 @@ stage_determinism() {
         echo "determinism: metrics JSONL missing pairs_scored" >&2
         return 1
     }
-    # Fifth run with the retrieval index disabled: the exhaustive oracle
+    # Fourth run with the retrieval index disabled: the exhaustive oracle
     # must produce byte-identical alignments and diagnostics, so the
-    # index is provably unobservable in output (same discipline as the
-    # BRIQ_NO_PRUNE cross-check).
+    # index is provably unobservable in output.
     local rc_ni
-    BRIQ_NO_INDEX=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
+    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json --no-index \
         --diagnostics "$dir/diag_ni.jsonl" > "$dir/out_ni.json"
     rc_ni=$?
-    if [ "$rc_ni" -ne "$rc1" ]; then
-        echo "determinism: exit code diverged with BRIQ_NO_INDEX=1 ($rc_ni vs $rc1)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_1.json" "$dir/out_ni.json" || {
-        echo "determinism: alignment output differs with BRIQ_NO_INDEX=1" >&2
-        diff "$dir/out_1.json" "$dir/out_ni.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_ni.jsonl" || {
-        echo "determinism: diagnostics JSONL differs with BRIQ_NO_INDEX=1" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_ni.jsonl" | head -20 >&2
-        return 1
-    }
-    echo "determinism: --jobs 1, --jobs $jobs_hi, BRIQ_NO_PRUNE=1, --trace/--metrics, and BRIQ_NO_INDEX=1 byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments)"
-}
-
-stage_kernels() {
-    cargo build --offline --release -q -p briq-bench || return 1
-    local dir rc_def rc_nc rc_nl
-    dir="$(mktemp -d)"
-    trap 'rm -rf "$dir"' RETURN
-    ./target/release/briq-align --gen-corpus "$dir/corpus" \
-        --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
-
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_def.jsonl" > "$dir/out_def.json"
-    rc_def=$?
-    if [ "$rc_def" -ne 0 ] && [ "$rc_def" -ne 2 ]; then
-        echo "kernels: default run failed (exit $rc_def)" >&2
-        return 1
-    fi
-    # CSR oracle: the dense adjacency random walk must be byte-identical.
-    BRIQ_NO_CSR=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_nc.jsonl" > "$dir/out_nc.json"
-    rc_nc=$?
-    if [ "$rc_nc" -ne "$rc_def" ]; then
-        echo "kernels: exit code diverged with BRIQ_NO_CSR=1 ($rc_nc vs $rc_def)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_def.json" "$dir/out_nc.json" || {
-        echo "kernels: alignment output differs with BRIQ_NO_CSR=1" >&2
-        diff "$dir/out_def.json" "$dir/out_nc.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_def.jsonl" "$dir/diag_nc.jsonl" || {
-        echo "kernels: diagnostics JSONL differs with BRIQ_NO_CSR=1" >&2
-        diff "$dir/diag_def.jsonl" "$dir/diag_nc.jsonl" | head -20 >&2
-        return 1
-    }
-    # Lane oracle: row-at-a-time forest traversal must be byte-identical.
-    BRIQ_NO_LANES=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_nl.jsonl" > "$dir/out_nl.json"
-    rc_nl=$?
-    if [ "$rc_nl" -ne "$rc_def" ]; then
-        echo "kernels: exit code diverged with BRIQ_NO_LANES=1 ($rc_nl vs $rc_def)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_def.json" "$dir/out_nl.json" || {
-        echo "kernels: alignment output differs with BRIQ_NO_LANES=1" >&2
-        diff "$dir/out_def.json" "$dir/out_nl.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_def.jsonl" "$dir/diag_nl.jsonl" || {
-        echo "kernels: diagnostics JSONL differs with BRIQ_NO_LANES=1" >&2
-        diff "$dir/diag_def.jsonl" "$dir/diag_nl.jsonl" | head -20 >&2
-        return 1
-    }
-    echo "kernels: default, BRIQ_NO_CSR=1, and BRIQ_NO_LANES=1 byte-identical ($(wc -c < "$dir/out_def.json") bytes of alignments)"
+    same_run determinism 1 ni "$rc1" "$rc_ni" "$dir" "with --no-index" || return 1
+    echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, and --no-index byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments)"
 }
 
 stage_store() {
@@ -392,29 +297,20 @@ stage_store() {
         --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
 
     # (a) Unchanged corpus: two repetitions against one warm store vs the
-    # BRIQ_NO_STORE=1 full-recompute oracle. Stdout and diagnostics must
+    # --no-store full-recompute oracle. Stdout and diagnostics must
     # be byte-identical, and the second repetition must be served
     # entirely from cache (hit rate exactly 1.000, zero realignments).
     ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json --repeat 2 \
         --diagnostics "$dir/diag_st.jsonl" > "$dir/out_st.json" 2> "$dir/err_st.txt"
     rc_st=$?
-    BRIQ_NO_STORE=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
+    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json --no-store \
         --diagnostics "$dir/diag_ns.jsonl" > "$dir/out_ns.json"
     rc_ns=$?
-    if [ "$rc_st" -ne "$rc_ns" ] || { [ "$rc_st" -ne 0 ] && [ "$rc_st" -ne 2 ]; }; then
-        echo "store: exit codes diverged or failed (store: $rc_st, BRIQ_NO_STORE=1: $rc_ns)" >&2
+    if [ "$rc_ns" -ne 0 ] && [ "$rc_ns" -ne 2 ]; then
+        echo "store: --no-store run failed (exit $rc_ns)" >&2
         return 1
     fi
-    cmp -s "$dir/out_st.json" "$dir/out_ns.json" || {
-        echo "store: alignment output differs between warm store and BRIQ_NO_STORE=1" >&2
-        diff "$dir/out_st.json" "$dir/out_ns.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_st.jsonl" "$dir/diag_ns.jsonl" || {
-        echo "store: diagnostics JSONL differs between warm store and BRIQ_NO_STORE=1" >&2
-        diff "$dir/diag_st.jsonl" "$dir/diag_ns.jsonl" | head -20 >&2
-        return 1
-    }
+    same_run store ns st "$rc_ns" "$rc_st" "$dir" "between warm store and --no-store" || return 1
     grep -q 'store: repeat 2/2 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_st.txt" || {
         echo "store: warm repetition was not served entirely from cache:" >&2
         grep '^store:' "$dir/err_st.txt" >&2
@@ -438,23 +334,11 @@ stage_store() {
         --jobs 1 --json --diagnostics "$dir/diag_inc.jsonl" \
         > "$dir/out_inc.json" 2> "$dir/err_inc.txt"
     rc_inc=$?
-    BRIQ_NO_STORE=1 ./target/release/briq-align --batch "$dir/mutated" --jobs 1 --json \
+    ./target/release/briq-align --batch "$dir/mutated" --jobs 1 --json --no-store \
         --diagnostics "$dir/diag_full.jsonl" > "$dir/out_full.json"
     rc_full=$?
-    if [ "$rc_inc" -ne "$rc_full" ]; then
-        echo "store: exit codes diverged on the mutated corpus (incremental: $rc_inc, full: $rc_full)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_inc.json" "$dir/out_full.json" || {
-        echo "store: incremental re-alignment differs from full recompute on the mutated corpus" >&2
-        diff "$dir/out_inc.json" "$dir/out_full.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_inc.jsonl" "$dir/diag_full.jsonl" || {
-        echo "store: diagnostics JSONL differs from full recompute on the mutated corpus" >&2
-        diff "$dir/diag_inc.jsonl" "$dir/diag_full.jsonl" | head -20 >&2
-        return 1
-    }
+    same_run store full inc "$rc_full" "$rc_inc" "$dir" \
+        "between incremental re-alignment and full recompute on the mutated corpus" || return 1
     awk '/^store: repeat 1\/1 / {
         for (i = 1; i <= NF; i++) {
             if ($i == "hits") hits = $(i + 1)
@@ -467,7 +351,7 @@ stage_store() {
         grep '^store:' "$dir/err_inc.txt" >&2
         return 1
     }
-    echo "store: warm-unchanged and mutated-incremental runs byte-identical to BRIQ_NO_STORE=1 ($(grep -c 'store: repeat' "$dir/err_st.txt" "$dir/err_inc.txt" | awk -F: '{s+=$NF} END {print s}') store reports checked)"
+    echo "store: warm-unchanged and mutated-incremental runs byte-identical to --no-store ($(grep -c 'store: repeat' "$dir/err_st.txt" "$dir/err_inc.txt" | awk -F: '{s+=$NF} END {print s}') store reports checked)"
 }
 
 # Send one JSONL request to the server at $1 over bash's /dev/tcp and
@@ -491,7 +375,7 @@ stage_persist() {
 
     # (a) Cold full-recompute oracle: the store disabled entirely, so no
     # cached or recovered state can possibly contribute to this output.
-    BRIQ_NO_STORE=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
+    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json --no-store \
         --diagnostics "$dir/diag_cold.jsonl" > "$dir/out_cold.json"
     rc_cold=$?
     if [ "$rc_cold" -ne 0 ] && [ "$rc_cold" -ne 2 ]; then
@@ -505,19 +389,7 @@ stage_persist() {
         --store-dir "$dir/store" --diagnostics "$dir/diag_first.jsonl" \
         > "$dir/out_first.json" 2> "$dir/err_first.txt"
     rc_run=$?
-    if [ "$rc_run" -ne "$rc_cold" ]; then
-        echo "persist: exit code diverged on the first durable run ($rc_run vs $rc_cold)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_first.json" "$dir/out_cold.json" || {
-        echo "persist: first durable run differs from the BRIQ_NO_STORE=1 oracle" >&2
-        diff "$dir/out_first.json" "$dir/out_cold.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_first.jsonl" "$dir/diag_cold.jsonl" || {
-        echo "persist: diagnostics differ on the first durable run" >&2
-        return 1
-    }
+    same_run persist cold first "$rc_cold" "$rc_run" "$dir" "on the first durable run" || return 1
     grep -q '^store: persisted ' "$dir/err_first.txt" || {
         echo "persist: first durable run reported no persisted snapshot:" >&2
         grep '^store:' "$dir/err_first.txt" >&2
@@ -531,19 +403,7 @@ stage_persist() {
         --store-dir "$dir/store" --diagnostics "$dir/diag_warm.jsonl" \
         > "$dir/out_warm.json" 2> "$dir/err_warm.txt"
     rc_run=$?
-    if [ "$rc_run" -ne "$rc_cold" ]; then
-        echo "persist: exit code diverged on the restart-warmed run ($rc_run vs $rc_cold)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_warm.json" "$dir/out_cold.json" || {
-        echo "persist: restart-warmed output differs from the BRIQ_NO_STORE=1 oracle" >&2
-        diff "$dir/out_warm.json" "$dir/out_cold.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_warm.jsonl" "$dir/diag_cold.jsonl" || {
-        echo "persist: diagnostics differ on the restart-warmed run" >&2
-        return 1
-    }
+    same_run persist cold warm "$rc_cold" "$rc_run" "$dir" "on the restart-warmed run" || return 1
     grep -q '^store: recovered ' "$dir/err_warm.txt" || {
         echo "persist: restart-warmed run reported no recovery:" >&2
         grep '^store:' "$dir/err_warm.txt" >&2
@@ -563,15 +423,7 @@ stage_persist() {
         --store-dir "$dir/store" --diagnostics "$dir/diag_torn.jsonl" \
         > "$dir/out_torn.json" 2> "$dir/err_torn.txt"
     rc_run=$?
-    if [ "$rc_run" -ne "$rc_cold" ]; then
-        echo "persist: exit code diverged after log corruption ($rc_run vs $rc_cold)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_torn.json" "$dir/out_cold.json" || {
-        echo "persist: output differs after torn-tail log corruption" >&2
-        diff "$dir/out_torn.json" "$dir/out_cold.json" | head -20 >&2
-        return 1
-    }
+    same_run persist cold torn "$rc_cold" "$rc_run" "$dir" "after torn-tail log corruption" || return 1
     grep -q 'torn tail truncated' "$dir/err_torn.txt" || {
         echo "persist: corrupted log was not reported as truncated:" >&2
         grep '^store:' "$dir/err_torn.txt" >&2
@@ -583,13 +435,13 @@ stage_persist() {
     # on the same --store-dir, and require full recovery: /health
     # reports the recovered entries, the unchanged re-drive is served
     # entirely from cache, the wire output byte-matches a cold
-    # BRIQ_NO_STORE=1 batch run, and the clean drain persists a snapshot.
+    # --no-store batch run, and the clean drain persists a snapshot.
     # Note: --docs counts documents, not page files; the store caches
     # per document, so the expected hit count is the document count.
     pages=12
     ./target/release/briq-align --gen-corpus "$dir/pages" \
         --docs "$pages" --seed "$BENCH_SEED" || return 1
-    BRIQ_NO_STORE=1 ./target/release/briq-align --json "$dir/pages"/*.html \
+    ./target/release/briq-align --json --no-store "$dir/pages"/*.html \
         > "$dir/out_batch.json" 2> /dev/null
     boot_server "$dir/serve1.log" --store-dir "$dir/sstore" || return 1
     ./target/release/briq-serve drive --addr "$SERVE_ADDR" "$dir/pages"/*.html \

@@ -217,7 +217,7 @@ fn throughput_summary(_c: &mut Criterion) {
         let mut acc = 0.0;
         for (mi, x) in sd.mentions.iter().enumerate() {
             engine.fill_rows(&mut fz, mi);
-            engine.score_trained(x, &sd.targets, &sd.tags[mi], &clf, &fcfg, true);
+            engine.score_trained(x, &sd.targets, &sd.tags[mi], &clf, &fcfg);
             acc += engine.computed().iter().map(|&(_, s)| s).sum::<f64>();
         }
         acc
@@ -228,7 +228,7 @@ fn throughput_summary(_c: &mut Criterion) {
         let mut engine = briq_core::scoring::ScoringEngine::new();
         for (mi, x) in sd.mentions.iter().enumerate() {
             engine.fill_rows(&mut fz, mi);
-            engine.score_trained(x, &sd.targets, &sd.tags[mi], &clf, &fcfg, true);
+            engine.score_trained(x, &sd.targets, &sd.tags[mi], &clf, &fcfg);
         }
         (engine.rows_deduped(), engine.pairs_pruned())
     };

@@ -204,8 +204,8 @@ pub struct ThroughputBench {
     /// signal, and reporting a number (e.g. 0.92×) would misread as a
     /// parallelism regression.
     pub speedup: Option<f64>,
-    /// Effective retrieval-index state of the measured runs (config knob
-    /// AND the `BRIQ_NO_INDEX` escape hatch). Trajectory comparisons must
+    /// Retrieval-index state of the measured runs (`use_index`).
+    /// Trajectory comparisons must
     /// never mix indexed and exhaustive numbers; `tools/bench_trend.sh`
     /// refuses to compare across a flip of this bit.
     pub index_enabled: bool,

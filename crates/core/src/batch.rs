@@ -71,7 +71,7 @@ pub struct StageTimings {
     /// without a computed score.
     pub pairs_pruned: u64,
     /// Candidate pairs surfaced by the retrieval index
-    /// (`crate::retrieval`); zero on exhaustive (`BRIQ_NO_INDEX=1`) runs.
+    /// (`crate::retrieval`); zero on exhaustive (`use_index: false`) runs.
     pub candidates_retrieved: u64,
     /// Pairs the retrieval index proved non-viable and never
     /// featurized or scored; zero on exhaustive runs.
@@ -340,7 +340,7 @@ pub fn align_batch(briq: &Briq, docs: &[Document], cfg: &BatchConfig) -> BatchRe
 /// bit-identical to [`align_batch`] for every cache state: the store
 /// only ever changes which work is *skipped*, never what a document's
 /// output is (see [`crate::store`]). When the store is disabled
-/// (`use_store: false` or `BRIQ_NO_STORE=1`) this *is* [`align_batch`].
+/// (`use_store: false`) this *is* [`align_batch`].
 pub fn align_batch_stored(
     briq: &Briq,
     docs: &[Document],
@@ -349,7 +349,7 @@ pub fn align_batch_stored(
     keys: Option<&[u64]>,
 ) -> BatchReport {
     debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
-    if !briq.store_effective() {
+    if !briq.cfg.use_store {
         return align_batch_inner(briq, docs, cfg, None);
     }
     align_batch_inner(briq, docs, cfg, Some(StoreCtx { store, keys }))

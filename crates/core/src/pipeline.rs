@@ -51,12 +51,12 @@ pub struct BriqConfig {
     /// Retrieve candidates through the per-document
     /// [`crate::retrieval::CandidateIndex`] instead of pairing every
     /// mention with every target (DESIGN.md §13). Output is bit-identical
-    /// either way; `BRIQ_NO_INDEX=1` force-disables it at run time.
+    /// either way (`--no-index` turns it off).
     pub use_index: bool,
     /// Serve repeated alignments of unchanged (or partially changed)
     /// documents from the versioned [`crate::store::AlignmentStore`]
     /// when one is attached (DESIGN.md §15). Output is bit-identical
-    /// either way; `BRIQ_NO_STORE=1` force-disables it at run time.
+    /// either way (`--no-store` turns it off).
     pub use_store: bool,
 }
 
@@ -494,11 +494,9 @@ impl Briq {
     /// pruning, DESIGN.md §10), and filter the partially scored
     /// candidate set. Byte-identical to exhaustive
     /// [`Briq::classify_stage`] + [`Briq::filter`] by the engine's
-    /// exactness contract and the index's recall contract; setting
-    /// `BRIQ_NO_PRUNE=1` force-disables the pruning layer (dedup stays —
-    /// it is exact by construction) and `BRIQ_NO_INDEX=1` (or
-    /// `use_index: false`) the retrieval index, which CI uses to
-    /// cross-check both contracts on real output.
+    /// exactness contract and the index's recall contract;
+    /// `tests/hot_path_equivalence.rs` pins the former and
+    /// `use_index: false` (CI's `--no-index` run) the latter.
     ///
     /// [`Briq::score_document`] deliberately does NOT use this path: its
     /// consumers (baselines, training, evaluation) read the full score
@@ -650,14 +648,6 @@ impl Briq {
         crate::batch::align_batch_stored(self, docs, cfg, store, keys)
     }
 
-    /// Is the alignment store in force for this system right now? Both
-    /// the `use_store` config knob AND the `BRIQ_NO_STORE=1` escape
-    /// hatch must allow it — the hatch is the CI oracle that pins the
-    /// incremental path to the full recompute (DESIGN.md §15).
-    pub fn store_effective(&self) -> bool {
-        self.cfg.use_store && std::env::var_os("BRIQ_NO_STORE").is_none_or(|v| v != "1")
-    }
-
     /// [`Briq::align_observed`] through a versioned
     /// [`crate::store::AlignmentStore`]: serve unchanged documents from
     /// cache, re-align only the dirty mentions of partially changed
@@ -665,9 +655,9 @@ impl Briq {
     /// everything) on a cold key. Bit-identical to
     /// [`Briq::align_observed`] in alignments and diagnostics for every
     /// cache state — the store only ever replays artifacts whose inputs
-    /// fingerprint-match. With `use_store: false` or `BRIQ_NO_STORE=1`
-    /// this *is* [`Briq::align_observed`] (the store is not consulted
-    /// or populated).
+    /// fingerprint-match. With `use_store: false` this *is*
+    /// [`Briq::align_observed`] (the store is not consulted or
+    /// populated).
     pub fn align_stored(
         &self,
         store: &crate::store::AlignmentStore,
@@ -692,7 +682,7 @@ impl Briq {
         cancel: &CancelToken,
     ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
         let mut timings = StageTimings::default();
-        if !self.store_effective() {
+        if !self.cfg.use_store {
             let (alignments, _, _, diags) =
                 self.align_budgeted_cancellable(doc, budget, &mut timings, rec, cancel);
             return (alignments, diags, timings);
@@ -719,7 +709,7 @@ impl Briq {
         Diagnostics,
     ) {
         let mut timings = StageTimings::default();
-        if !self.store_effective() {
+        if !self.cfg.use_store {
             return self.align_budgeted_cancellable(
                 doc,
                 budget,
@@ -945,7 +935,6 @@ pub(crate) struct ClassifyPass<'a> {
     engine: crate::scoring::ScoringEngine,
     scratch: crate::retrieval::RetrievalScratch,
     index: Option<CandidateIndex>,
-    no_prune: bool,
 }
 
 impl<'a> ClassifyPass<'a> {
@@ -960,9 +949,6 @@ impl<'a> ClassifyPass<'a> {
         targets: &'a [TableMention],
         timings: &mut StageTimings,
     ) -> ClassifyPass<'a> {
-        let no_prune = std::env::var_os("BRIQ_NO_PRUNE").is_some_and(|v| v == "1");
-        let no_index =
-            !briq.cfg.use_index || std::env::var_os("BRIQ_NO_INDEX").is_some_and(|v| v == "1");
         let featurizer = PairFeaturizer::new(mentions, targets, ctx);
         // Pooled per-worker scratch (DESIGN.md §14): reset engine and
         // retrieval buffers from this thread's arena instead of cold
@@ -974,7 +960,9 @@ impl<'a> ClassifyPass<'a> {
         // per mention is then allocation-free and bounded by the viable
         // candidate set.
         let t_build = Instant::now();
-        let index = (!no_index)
+        let index = briq
+            .cfg
+            .use_index
             .then(|| CandidateIndex::build(targets, briq.cfg.filter.value_diff_threshold));
         if index.is_some() {
             timings.classify_s += t_build.elapsed().as_secs_f64();
@@ -990,7 +978,6 @@ impl<'a> ClassifyPass<'a> {
             engine,
             scratch,
             index,
-            no_prune,
         }
     }
 
@@ -1035,7 +1022,6 @@ impl<'a> ClassifyPass<'a> {
                             &tags,
                             clf,
                             &self.briq.cfg.filter,
-                            !self.no_prune,
                         ),
                         None => self.engine.score_heuristic_selected(&self.briq.cfg.mask),
                     }
@@ -1058,7 +1044,6 @@ impl<'a> ClassifyPass<'a> {
                             &tags,
                             clf,
                             &self.briq.cfg.filter,
-                            !self.no_prune,
                         ),
                         None => self.engine.score_heuristic(&self.briq.cfg.mask),
                     }

@@ -7,9 +7,7 @@
 //! knowledge. A mention whose best `OverallScore` falls below `ε` is left
 //! unaligned (the mapping is partial, §II-A).
 
-use briq_graph::{
-    try_random_walk_with_restart, ConvergenceReport, CsrGraph, GraphError, RwrConfig,
-};
+use briq_graph::{ConvergenceReport, CsrGraph, GraphError, RwrConfig};
 use briq_ml::entropy::normalized_entropy;
 
 use crate::filtering::Candidate;
@@ -36,12 +34,6 @@ pub struct ResolutionConfig {
     pub tolerance: f64,
     /// Iteration cap of the walk.
     pub max_iterations: usize,
-    /// Run walks on the frozen CSR kernel ([`briq_graph::csr`],
-    /// DESIGN.md §14) instead of rebuilding dense transition lists per
-    /// walk. Output is bit-identical either way; `BRIQ_NO_CSR=1` (or
-    /// `--no-csr`) force-disables it at run time, which CI uses to
-    /// cross-check the kernel on real output.
-    pub use_csr: bool,
 }
 
 impl Default for ResolutionConfig {
@@ -54,7 +46,6 @@ impl Default for ResolutionConfig {
             restart: 0.12,
             tolerance: 1e-8,
             max_iterations: 100,
-            use_csr: true,
         }
     }
 }
@@ -144,7 +135,7 @@ pub fn resolve_budgeted(
 /// never fires — with both defaulted this *is* [`resolve_budgeted`],
 /// bit for bit.
 pub fn resolve_observed(
-    mut ag: AlignmentGraph,
+    ag: AlignmentGraph,
     candidates: &[Vec<Candidate>],
     cfg: &ResolutionConfig,
     max_rwr_iterations: usize,
@@ -174,18 +165,13 @@ pub fn resolve_observed(
         max_iterations: cfg.max_iterations.min(max_rwr_iterations),
     };
 
-    // Walk backend: the CSR kernel freezes the graph once and models
-    // Algorithm 1's edge deletions by weight-zeroing; the dense oracle
-    // (`use_csr: false` or `BRIQ_NO_CSR=1`) mutates the adjacency graph
-    // as before. Bit-identical by the §14 equivalence contract, proven
-    // per run by CI's `kernels` stage.
-    let no_csr = !cfg.use_csr || std::env::var_os("BRIQ_NO_CSR").is_some_and(|v| v == "1");
-    let mut csr = (!no_csr).then(|| CsrGraph::from_graph(&ag.graph));
-    if let Some(c) = &csr {
-        rec.count(names::CSR_NNZ, c.nnz() as u64);
-    }
+    // The walk kernel freezes the graph once into CSR and models
+    // Algorithm 1's edge deletions by weight-zeroing (DESIGN.md §14);
+    // `tests/csr_replay.rs` replays the same deletions on the dense
+    // `briq_graph::Graph` reference and pins the two bit for bit.
+    let mut csr = CsrGraph::from_graph(&ag.graph);
+    rec.count(names::CSR_NNZ, csr.nnz() as u64);
     let mut scratch = crate::arena::take_csr_scratch();
-    let mut dense_pi: Vec<f64> = Vec::new();
 
     let mut out = Vec::new();
     let mut events = Vec::new();
@@ -199,17 +185,7 @@ pub fn resolve_observed(
         // Per-mention fault isolation: a failed walk demotes this mention
         // to prior-only scoring; it never takes the document down.
         rec.count(names::RWR_WALKS, 1);
-        let walked = match &csr {
-            Some(c) => c.walk_into(ag.text_nodes[x], &rwr, &mut scratch),
-            None => match try_random_walk_with_restart(&ag.graph, ag.text_nodes[x], &rwr) {
-                Ok((p, report)) => {
-                    dense_pi = p;
-                    Ok(report)
-                }
-                Err(e) => Err(e),
-            },
-        };
-        let pi: Option<&[f64]> = match walked {
+        let pi: Option<&[f64]> = match csr.walk_into(ag.text_nodes[x], &rwr, &mut scratch) {
             Ok(report) => {
                 rec.observe(names::RWR_ITERATIONS, report.iterations as f64);
                 rec.count(names::RWR_MATVEC_ITERATIONS, report.iterations as u64);
@@ -217,11 +193,7 @@ pub fn resolve_observed(
                     rec.count(names::RWR_NOT_CONVERGED, 1);
                     events.push(ResolutionEvent::NotConverged { mention: x, report });
                 }
-                Some(if csr.is_some() {
-                    scratch.distribution()
-                } else {
-                    &dense_pi
-                })
+                Some(scratch.distribution())
             }
             Err(error) => {
                 rec.count(names::RWR_FALLBACKS, 1);
@@ -262,43 +234,22 @@ pub fn resolve_observed(
                 best = Some((c.target, score, c.score));
             }
         }
-        match best {
+        let chosen = match best {
             Some((t_star, score, sigma)) if score > cfg.epsilon && sigma >= cfg.sigma_min => {
-                // Keep only the chosen edge.
-                for c in &candidates[x] {
-                    if c.target != t_star {
-                        if let Some(tn) = ag.table_node(c.target) {
-                            match &mut csr {
-                                Some(cg) => {
-                                    cg.zero_edge(ag.text_nodes[x], tn);
-                                }
-                                None => {
-                                    ag.graph.remove_edge(ag.text_nodes[x], tn);
-                                }
-                            }
-                        }
-                    }
-                }
                 out.push(Resolved {
                     mention: x,
                     target: t_star,
                     score,
                 });
+                Some(t_star)
             }
-            _ => {
-                // No alignment: drop all text-table edges of x.
-                for c in &candidates[x] {
-                    if let Some(tn) = ag.table_node(c.target) {
-                        match &mut csr {
-                            Some(cg) => {
-                                cg.zero_edge(ag.text_nodes[x], tn);
-                            }
-                            None => {
-                                ag.graph.remove_edge(ag.text_nodes[x], tn);
-                            }
-                        }
-                    }
-                }
+            _ => None,
+        };
+        // Keep only the chosen edge; an unaligned mention drops all of
+        // its text-table edges.
+        for c in candidates[x].iter().filter(|c| Some(c.target) != chosen) {
+            if let Some(tn) = ag.table_node(c.target) {
+                csr.zero_edge(ag.text_nodes[x], tn);
             }
         }
     }
@@ -307,39 +258,15 @@ pub fn resolve_observed(
     (out, events)
 }
 
-// Hand-written (not `json_struct!`) so `use_csr` can default to `true`
-// on model files serialized before the field existed.
-impl briq_json::ToJson for ResolutionConfig {
-    fn to_json(&self) -> briq_json::Value {
-        briq_json::Value::Object(vec![
-            ("alpha".to_string(), self.alpha.to_json()),
-            ("beta".to_string(), self.beta.to_json()),
-            ("epsilon".to_string(), self.epsilon.to_json()),
-            ("sigma_min".to_string(), self.sigma_min.to_json()),
-            ("restart".to_string(), self.restart.to_json()),
-            ("tolerance".to_string(), self.tolerance.to_json()),
-            ("max_iterations".to_string(), self.max_iterations.to_json()),
-            ("use_csr".to_string(), self.use_csr.to_json()),
-        ])
-    }
-}
-impl briq_json::FromJson for ResolutionConfig {
-    fn from_json(v: &briq_json::Value) -> briq_json::Result<Self> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| briq_json::JsonError::new("expected ResolutionConfig object"))?;
-        Ok(ResolutionConfig {
-            alpha: briq_json::field(obj, "alpha")?,
-            beta: briq_json::field(obj, "beta")?,
-            epsilon: briq_json::field(obj, "epsilon")?,
-            sigma_min: briq_json::field(obj, "sigma_min")?,
-            restart: briq_json::field(obj, "restart")?,
-            tolerance: briq_json::field(obj, "tolerance")?,
-            max_iterations: briq_json::field(obj, "max_iterations")?,
-            use_csr: briq_json::field_or(obj, "use_csr", true)?,
-        })
-    }
-}
+briq_json::json_struct!(ResolutionConfig {
+    alpha,
+    beta,
+    epsilon,
+    sigma_min,
+    restart,
+    tolerance,
+    max_iterations,
+});
 
 #[cfg(test)]
 mod tests {

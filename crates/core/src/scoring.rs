@@ -195,21 +195,6 @@ pub struct ScoringEngine {
     sel: Vec<usize>,
     /// How many leading entries of `sel` retrieval classified as near.
     n_near: usize,
-    /// Route exhaustive phase-A blocks through the lockstep lane kernel
-    /// ([`briq_ml::FlatForest::score_lanes`], bit-identical to
-    /// `score_block`). Read once from `BRIQ_NO_LANES` at construction;
-    /// `BRIQ_NO_LANES=1` is the oracle hatch CI byte-compares against.
-    use_lanes: bool,
-    /// Opt-in f32 fast path (`BRIQ_F32=1`): phase-A blocks score through
-    /// the quantized [`briq_ml::FlatForestF32`] and the exact pruning phase is
-    /// disabled (its bounds are f64 contracts). **Approximate** — scores
-    /// may differ within the §14 tolerance contract — so CI never sets
-    /// it and it is never the default.
-    use_f32: bool,
-    /// The quantized forest, built lazily per document when `use_f32`
-    /// (cleared by [`ScoringEngine::reset`] so a pooled engine can never
-    /// leak one model's quantization into another's documents).
-    flat32: Option<briq_ml::FlatForestF32>,
     rows_deduped: u64,
     pairs_pruned: u64,
     rows_scored_exhaustive: u64,
@@ -239,9 +224,6 @@ impl ScoringEngine {
             deferred: Vec::new(),
             sel: Vec::new(),
             n_near: 0,
-            use_lanes: std::env::var_os("BRIQ_NO_LANES").is_none_or(|v| v != "1"),
-            use_f32: std::env::var_os("BRIQ_F32").is_some_and(|v| v == "1"),
-            flat32: None,
             rows_deduped: 0,
             pairs_pruned: 0,
             rows_scored_exhaustive: 0,
@@ -250,11 +232,10 @@ impl ScoringEngine {
     }
 
     /// Reset the engine to a fresh-document state while keeping every
-    /// buffer's capacity. Clears the score cache and the quantized
-    /// forest (both are per-document/per-model state) and zeroes the
-    /// counters, so a pooled engine produces output and observability
-    /// counters bit-identical to a cold-constructed one regardless of
-    /// which documents this worker scored before.
+    /// buffer's capacity. Clears the score cache (per-document state)
+    /// and zeroes the counters, so a pooled engine produces output and
+    /// observability counters bit-identical to a cold-constructed one
+    /// regardless of which documents this worker scored before.
     pub fn reset(&mut self) {
         self.cache.clear();
         self.rows.clear();
@@ -269,7 +250,6 @@ impl ScoringEngine {
         self.deferred.clear();
         self.sel.clear();
         self.n_near = 0;
-        self.flat32 = None;
         self.rows_deduped = 0;
         self.pairs_pruned = 0;
         self.rows_scored_exhaustive = 0;
@@ -306,35 +286,13 @@ impl ScoringEngine {
         self.computed.reserve(32);
     }
 
-    /// Phase-A kernel dispatch over the gathered block: the opt-in f32
-    /// forest when `BRIQ_F32=1`, the lockstep lane kernel by default, or
-    /// the row-at-a-time block kernel under the `BRIQ_NO_LANES=1` oracle
-    /// hatch. Lanes vs. block is bit-identical by the flat-forest
-    /// equivalence suite; only f32 may deviate.
+    /// Phase A over the gathered block: exact scores for every row.
     fn score_block_phase_a(&mut self, flat: &briq_ml::FlatForest) {
         let n = self.block_tis.len();
         self.out.clear();
         self.out.resize(n, 0.0);
-        match &self.flat32 {
-            Some(f) => f.score_block(&self.block, FEATURE_COUNT, &mut self.out),
-            None if self.use_lanes => flat.score_lanes(&self.block, FEATURE_COUNT, &mut self.out),
-            None => flat.score_block(&self.block, FEATURE_COUNT, &mut self.out),
-        }
+        flat.score_block(&self.block, FEATURE_COUNT, &mut self.out);
         self.rows_scored_exhaustive += n as u64;
-    }
-
-    /// Apply the opt-in f32 mode to a scoring call: build the quantized
-    /// forest on first use and force pruning off (the phase-B bounds are
-    /// exact f64 contracts that do not transfer to quantized scores), so
-    /// every row goes through the exhaustive f32 phase A.
-    fn effective_prune(&mut self, clf: &PairClassifier, prune: bool) -> bool {
-        if !self.use_f32 {
-            return prune;
-        }
-        if self.flat32.is_none() {
-            self.flat32 = Some(briq_ml::FlatForestF32::from_flat(clf.flat()));
-        }
-        false
     }
 
     /// Fill the engine's row matrix with every target's features for
@@ -464,8 +422,7 @@ impl ScoringEngine {
     /// remaining-vote bound falls below
     /// `min(static keep cut, fifth-highest)` — or below the static cut
     /// alone when the mention's approximation modifier decides the vote
-    /// without looking at scores. With `prune` false everything goes
-    /// through phase A, which keeps the dedup win and stays exhaustive.
+    /// without looking at scores.
     pub fn score_trained(
         &mut self,
         x: &TextMention,
@@ -473,9 +430,7 @@ impl ScoringEngine {
         tags: &[AggregationKind],
         clf: &PairClassifier,
         cfg: &FilterConfig,
-        prune: bool,
     ) {
-        let prune = self.effective_prune(clf, prune);
         let flat = clf.flat();
         self.computed.clear();
         self.viable_flags.clear();
@@ -494,9 +449,7 @@ impl ScoringEngine {
                 self.viable_flags.push(is_viable(row, &targets[ti], tags));
                 continue;
             }
-            let must_compute =
-                !prune || static_cut(row, &targets[ti], tags, cfg) <= cfg.score_floor;
-            if must_compute {
+            if static_cut(row, &targets[ti], tags, cfg) <= cfg.score_floor {
                 self.block.extend_from_slice(row);
                 self.block_tis.push(ti);
             } else {
@@ -571,9 +524,7 @@ impl ScoringEngine {
         tags: &[AggregationKind],
         clf: &PairClassifier,
         cfg: &FilterConfig,
-        prune: bool,
     ) {
-        let prune = self.effective_prune(clf, prune);
         let flat = clf.flat();
         self.computed.clear();
         self.viable_flags.clear();
@@ -597,7 +548,7 @@ impl ScoringEngine {
                     || cfg.score_threshold <= cfg.score_floor,
                 "retrieval near/far split must match the static cut"
             );
-            if !prune || near {
+            if near {
                 self.block.extend_from_slice(row);
                 self.block_tis.push(ti);
             } else {

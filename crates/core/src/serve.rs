@@ -493,7 +493,7 @@ struct Shared<'a> {
     inflight: AtomicUsize,
     connections: AtomicUsize,
     /// Warm alignment store shared across requests and workers — `None`
-    /// when disabled (`use_store: false` or `BRIQ_NO_STORE=1`), in
+    /// when disabled (`use_store: false`), in
     /// which case every request takes the plain full-recompute path.
     store: Option<AlignmentStore>,
 }
@@ -575,7 +575,7 @@ impl Server {
             force_cancel: Arc::new(AtomicBool::new(false)),
             inflight: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
-            store: briq.store_effective().then(|| {
+            store: briq.cfg.use_store.then(|| {
                 let opts = crate::store::StoreOptions {
                     dir: self.cfg.store_dir.as_ref().map(Into::into),
                     max_bytes: self.cfg.store_max_bytes,
@@ -845,18 +845,10 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                     Value::Num(sh.connections.load(Ordering::SeqCst) as f64),
                 ),
                 ("workers", Value::Num(sh.cfg.workers as f64)),
-                // Effective retrieval-index state for this process:
-                // config knob AND the BRIQ_NO_INDEX escape hatch.
-                (
-                    "index_enabled",
-                    Value::Bool(
-                        sh.briq.cfg.use_index
-                            && std::env::var_os("BRIQ_NO_INDEX").is_none_or(|v| v != "1"),
-                    ),
-                ),
-                // Effective alignment-store state (config knob AND the
-                // BRIQ_NO_STORE escape hatch) plus its lifetime hit
-                // rate — the fraction of lookups served fully warm.
+                // Retrieval-index state for this process.
+                ("index_enabled", Value::Bool(sh.briq.cfg.use_index)),
+                // Alignment-store state plus its lifetime hit rate —
+                // the fraction of lookups served fully warm.
                 ("store_enabled", Value::Bool(sh.store.is_some())),
                 (
                     "store_hit_rate",

@@ -37,7 +37,7 @@
 //! artifact in its fingerprinted inputs, is the bit-identity argument:
 //! the store can only ever replay values the full recompute would have
 //! produced.
-//! `BRIQ_NO_STORE=1` / `use_store: false` is the CI oracle hatch that
+//! `use_store: false` (`--no-store`) is the CI oracle that
 //! byte-compares the two paths on real corpora every run.
 //!
 //! With [`StoreOptions::dir`] set, the store is additionally backed by

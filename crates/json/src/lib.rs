@@ -226,6 +226,7 @@ fn write_string(s: &str, out: &mut String) {
 /// nesting deeper than [`MAX_DEPTH`] is rejected.
 pub fn parse(input: &str) -> Result<Value> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -239,6 +240,7 @@ pub fn parse(input: &str) -> Result<Value> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -432,14 +434,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 char (input is a &str, so this is
-                    // always on a boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| JsonError::new("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| JsonError::new("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash as one slice. Both are ASCII, so the run
+                    // ends on a char boundary of the `&str` input, and
+                    // the scan stays linear in the string's length.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run = self
+                        .src
+                        .get(self.pos..end)
+                        .ok_or_else(|| JsonError::new("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }

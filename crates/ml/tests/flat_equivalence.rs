@@ -170,35 +170,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// The lockstep lane kernel is bit-identical to `score_block` (and
-    /// therefore to per-row recursive traversal) for arbitrary fitted
-    /// forests, block shapes, and probes — including ragged tails
-    /// shorter than the lane width.
-    #[test]
-    fn score_lanes_bit_equals_score_block(
-        seed in 0u64..400,
-        n in 12usize..80,
-        nf in 1usize..6,
-        n_trees in 1usize..12,
-        n_rows in 0usize..40,
-        probe_seed in 0u64..100,
-    ) {
-        let data = random_dataset(n, nf, seed);
-        let rf = RandomForest::fit(
-            &data,
-            RandomForestConfig { n_trees, seed, ..Default::default() },
-        );
-        let flat = FlatForest::from_forest(&rf);
-        let mut rng = StdRng::seed_from_u64(probe_seed);
-        let rows: Vec<f64> = (0..n_rows * nf).map(|_| rng.random_range(-2.0..2.0)).collect();
-        let mut block = vec![f64::NAN; n_rows];
-        let mut lanes = vec![f64::NAN; n_rows];
-        flat.score_block(&rows, nf, &mut block);
-        flat.score_lanes(&rows, nf, &mut lanes);
-        for i in 0..n_rows {
-            prop_assert_eq!(block[i].to_bits(), lanes[i].to_bits(), "row {}", i);
-        }
-    }
-}

@@ -5,22 +5,38 @@
 //!
 //! Coverage: well-formed seeded corpus documents (>= 1000 pairs) and one
 //! document per adversarial chaos family under a tight budget. The
-//! batched engine (dedup cache + exact bound-based pruning, see
-//! `briq_core::scoring`) is additionally held to the same standard
-//! against the exhaustive score-everything reference and against itself
-//! with pruning disabled (`BRIQ_NO_PRUNE=1`).
+//! alignment hot path (retrieval index + dedup cache + exact bound-based
+//! pruning, see `briq_core::scoring`) is additionally held to the same
+//! standard against the exhaustive score-everything reference, through
+//! graph construction and resolution.
 
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
+use briq_core::filtering::{Candidate, FilterStats};
+use briq_core::graph_builder::build_graph_budgeted;
+use briq_core::mention::Alignment;
 use briq_core::pipeline::{
     heuristic_prior, heuristic_prior_masked, Briq, BriqConfig, ScoredDocument,
 };
+use briq_core::resolution::resolve_budgeted;
+use briq_core::store::AlignmentStore;
 use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
 use briq_ml::{Dataset, RandomForestConfig};
+use briq_table::Document;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+
+/// Tight enough that the hostile chaos families actually hit the caps.
+fn tight_budget() -> Budget {
+    Budget {
+        max_regex_steps: 10_000,
+        max_virtual_cells_per_table: 120,
+        max_graph_edges: 1_500,
+        max_rwr_iterations: 40,
+    }
+}
 
 /// Every mask combination the ablation study can request.
 fn all_masks() -> Vec<FeatureMask> {
@@ -100,12 +116,7 @@ fn featurizer_matches_naive_on_seeded_corpus() {
 #[test]
 fn featurizer_matches_naive_on_chaos_documents() {
     let briq = Briq::untrained(BriqConfig::default());
-    let budget = Budget {
-        max_regex_steps: 10_000,
-        max_virtual_cells_per_table: 120,
-        max_graph_edges: 1_500,
-        max_rwr_iterations: 40,
-    };
+    let budget = tight_budget();
     for kind in Adversary::ALL {
         for doc in adversarial_documents(kind, 20190408) {
             let (sd, _diag) = briq.score_document_budgeted(&doc, &budget);
@@ -171,11 +182,7 @@ fn flat_classifier_matches_recursive_forest_on_every_mask() {
 }
 
 /// Compare two per-mention candidate lists for bit-exact equality.
-fn assert_candidates_bit_equal(
-    a: &[Vec<briq_core::filtering::Candidate>],
-    b: &[Vec<briq_core::filtering::Candidate>],
-    scope: &str,
-) {
+fn assert_candidates_bit_equal(a: &[Vec<Candidate>], b: &[Vec<Candidate>], scope: &str) {
     assert_eq!(a.len(), b.len(), "{scope}: mention count");
     for (mi, (ca, cb)) in a.iter().zip(b).enumerate() {
         assert_eq!(ca.len(), cb.len(), "{scope}: mention {mi} candidate count");
@@ -195,11 +202,7 @@ fn assert_candidates_bit_equal(
 
 /// Compare two alignment lists for bit-exact equality (PartialEq on
 /// `Alignment` compares scores by value; pin the bits too).
-fn assert_alignments_bit_equal(
-    a: &[briq_core::mention::Alignment],
-    b: &[briq_core::mention::Alignment],
-    scope: &str,
-) {
+fn assert_alignments_bit_equal(a: &[Alignment], b: &[Alignment], scope: &str) {
     assert_eq!(a, b, "{scope}: alignments differ");
     for (x, y) in a.iter().zip(b) {
         assert_eq!(
@@ -211,13 +214,57 @@ fn assert_alignments_bit_equal(
     }
 }
 
+/// The test-only reference for the alignment hot path: the exhaustive
+/// score matrix ([`Briq::score_document_budgeted`]) through the plain
+/// [`Briq::filter`], then graph construction and Algorithm 1 on the
+/// filtered candidates. With an unlimited budget this is
+/// `graph_builder::build_graph` + `resolution::resolve`.
+fn reference_alignment(
+    briq: &Briq,
+    doc: &Document,
+    budget: &Budget,
+) -> (Vec<Alignment>, FilterStats, Vec<Vec<Candidate>>) {
+    let (sd, _) = briq.score_document_budgeted(doc, budget);
+    let (candidates, stats) = briq.filter(&sd);
+    let positions: Vec<usize> = sd.ctx.mentions.iter().map(|m| m.token_index).collect();
+    let (ag, _) = build_graph_budgeted(
+        &sd.mentions,
+        &positions,
+        sd.ctx.tokens.len(),
+        &sd.targets,
+        &candidates,
+        &briq.cfg.graph,
+        budget.max_graph_edges,
+    );
+    let (resolved, _) = resolve_budgeted(
+        ag,
+        &candidates,
+        &briq.cfg.resolution,
+        budget.max_rwr_iterations,
+    );
+    let alignments = resolved
+        .into_iter()
+        .map(|r| {
+            let x = &sd.mentions[r.mention];
+            Alignment {
+                mention_start: x.quantity.start,
+                mention_end: x.quantity.end,
+                mention_raw: x.quantity.raw.clone(),
+                target: sd.targets[r.target].clone(),
+                score: r.score,
+            }
+        })
+        .collect();
+    (alignments, stats, candidates)
+}
+
 #[test]
 fn pruned_path_matches_exhaustive_filtering() {
-    // The dedup + bound-based-pruning engine on the alignment hot path
-    // must be unobservable: identical filtering survivors (same targets,
-    // same f64 bits), identical stats, identical final alignments —
-    // against both the exhaustive `score_document` + `filter` reference
-    // and the engine with pruning switched off via BRIQ_NO_PRUNE=1.
+    // The retrieval + dedup + bound-based-pruning engine on the
+    // alignment hot path must be unobservable: identical filtering
+    // survivors (same targets, same f64 bits), identical stats,
+    // identical final alignments — against the exhaustive
+    // score-everything reference above.
     // A trained classifier so bound-based pruning actually engages (the
     // untrained heuristic path only dedups).
     let corpus = generate_corpus(&CorpusConfig {
@@ -242,59 +289,43 @@ fn pruned_path_matches_exhaustive_filtering() {
             n_trees: 12,
             ..Default::default()
         },
+        // `align_stored_detailed` with the store off is the plain hot
+        // path under a caller-chosen budget, returning every surface.
+        use_store: false,
         ..Default::default()
     };
     let briq = Briq::train(cfg, &train, &val);
     assert!(briq.is_trained());
+    let store = AlignmentStore::for_system(&briq);
 
-    let mut pairs = 0usize;
-    let mut saved = 0u64;
+    let check = |doc: &Document, budget: &Budget, scope: &str| {
+        let (al, stats, cand, _) = briq.align_stored_detailed(&store, 0, doc, budget);
+        let (al_ref, stats_ref, cand_ref) = reference_alignment(&briq, doc, budget);
+        assert_candidates_bit_equal(&cand, &cand_ref, scope);
+        assert_eq!(stats, stats_ref, "{scope}: stats");
+        assert_alignments_bit_equal(&al, &al_ref, scope);
+        briq.align_timed(doc, budget).2
+    };
+
+    let (mut pairs, mut pruned) = (0u64, 0u64);
     for (i, ld) in docs.iter().enumerate() {
-        let scope = format!("corpus doc {i}");
-        let doc = &ld.document;
-
-        // Exhaustive reference: full score matrix, then the filter.
-        let sd = briq.score_document(doc);
-        pairs += sd.mentions.len() * sd.targets.len();
-        let (cand_ref, stats_ref) = briq.filter(&sd);
-
-        // Hot path with pruning on (default), then off.
-        let (al_on, stats_on, cand_on) = briq.align_detailed(doc);
-        std::env::set_var("BRIQ_NO_PRUNE", "1");
-        let (al_off, stats_off, cand_off) = briq.align_detailed(doc);
-        std::env::remove_var("BRIQ_NO_PRUNE");
-
-        assert_candidates_bit_equal(&cand_on, &cand_ref, &format!("{scope} on-vs-ref"));
-        assert_candidates_bit_equal(&cand_on, &cand_off, &format!("{scope} on-vs-off"));
-        assert_eq!(stats_on, stats_ref, "{scope}: stats on-vs-ref");
-        assert_eq!(stats_on, stats_off, "{scope}: stats on-vs-off");
-        assert_alignments_bit_equal(&al_on, &al_off, &scope);
-
-        // The engine must actually be saving work somewhere in the run.
-        let (_, _, timings) = briq.align_timed(doc, &Budget::unlimited());
-        saved += timings.rows_deduped + timings.pairs_pruned;
+        let timings = check(
+            &ld.document,
+            &Budget::unlimited(),
+            &format!("corpus doc {i}"),
+        );
+        pairs += timings.pairs_scored;
+        pruned += timings.pairs_pruned;
     }
     assert!(pairs >= 1000, "only {pairs} pairs exercised");
-    assert!(
-        saved > 0,
-        "dedup + pruning never engaged over {pairs} pairs"
-    );
+    assert!(pruned > 0, "pruning never engaged over {pairs} pairs");
 
-    // Every adversarial chaos family, under the tight budget: pruning
-    // on/off must stay byte-identical even on degraded documents.
-    let budget = Budget {
-        max_regex_steps: 10_000,
-        max_virtual_cells_per_table: 120,
-        max_graph_edges: 1_500,
-        max_rwr_iterations: 40,
-    };
+    // Every adversarial chaos family, under the tight budget: the hot
+    // path must match the reference even on degraded documents.
+    let budget = tight_budget();
     for kind in Adversary::ALL {
-        for doc in adversarial_documents(kind, 20190408) {
-            let (al_on, _) = briq.align_checked_with(&doc, &budget);
-            std::env::set_var("BRIQ_NO_PRUNE", "1");
-            let (al_off, _) = briq.align_checked_with(&doc, &budget);
-            std::env::remove_var("BRIQ_NO_PRUNE");
-            assert_alignments_bit_equal(&al_on, &al_off, kind.name());
+        for (i, doc) in adversarial_documents(kind, 20190408).iter().enumerate() {
+            check(doc, &budget, &format!("{} doc {i}", kind.name()));
         }
     }
 }
