@@ -15,7 +15,9 @@
 #                briq-text, briq-table, briq-graph, briq-core) additionally
 #                deny unwrap_used/expect_used in non-test code, so clippy
 #                enforces the panic-free policy too
-#   build        release build of the whole workspace
+#   build        release build of the whole workspace, plus the benchmark
+#                (perfbench/, its own cargo workspace) so an API change
+#                that breaks it fails here instead of in a benchmark run
 #   test         full test suite, including the chaos fault-injection
 #                harness in tests/chaos.rs, the batch-engine unit tests,
 #                and the kernel-equivalence suites (CSR-vs-dense RWR
@@ -23,7 +25,8 @@
 #                real-graph CSR-vs-dense replay in tests/csr_replay.rs,
 #                the pruned-vs-exhaustive hot path in
 #                tests/hot_path_equivalence.rs, and the arena
-#                steady-state allocation test)
+#                steady-state allocation test), the input-parser scaling
+#                suite (tests/scaling.rs), then the benchmark's own tests
 #   bench-smoke  throughput smoke of the batch engine on a seeded corpus at
 #                --jobs 1 and --jobs $(nproc); writes BENCH_throughput.json
 #                (docs/min, per-stage timings incl. classify seconds and
@@ -96,9 +99,13 @@
 #                the fault-injecting chaos client against it, then floods
 #                a deliberately tiny server (--workers 1 --queue-depth 1)
 #                with chaos --expect-shed to prove admission control
-#                sheds deterministically under overload. Both servers
-#                must drain cleanly (exit 0 and a "drained:" line) on
-#                stop. See OPERATIONS.md §9.
+#                sheds deterministically under overload. Finally trains
+#                the demo model (briq-align --train-demo), boots a server
+#                with --model, and byte-compares its wire output against
+#                briq-align --model --json; training plus both model loads
+#                must finish within 60 s. Every server must drain cleanly
+#                (exit 0 and a "drained:" line) on stop. See OPERATIONS.md
+#                §9.
 #   docs         cargo doc --workspace --no-deps with RUSTDOCFLAGS set to
 #                -D warnings: every rustdoc warning (broken intra-doc
 #                link, missing docs where #![warn(missing_docs)] is on)
@@ -128,11 +135,13 @@ stage_clippy() {
 }
 
 stage_build() {
-    cargo build --offline --release
+    cargo build --offline --release &&
+        cargo build --offline --release --manifest-path perfbench/Cargo.toml
 }
 
 stage_test() {
-    cargo test --offline --workspace -q
+    cargo test --offline --workspace -q &&
+        cargo test --offline -q --manifest-path perfbench/Cargo.toml
 }
 
 stage_docs() {
@@ -589,7 +598,42 @@ stage_serve() {
     stop_server "$SERVE_ADDR" "$SERVE_PID" "$dir/tiny.log.err" || return 1
     SERVE_PID=""
 
-    echo "serve: wire output byte-identical to batch ($(wc -c < "$dir/out_serve.json") bytes); chaos + overload clean, both servers drained"
+    # 4. Trained model: train the demo model, load it in both binaries,
+    # and require the wire path to match the batch path with it loaded.
+    # Training, the server boot and the batch run (each load parses the
+    # model file) must fit in the bound.
+    local t0 model_s bound_s=60
+    t0=$SECONDS
+    ./target/release/briq-align --train-demo "$dir/model.json" > /dev/null 2> "$dir/train.err" || {
+        echo "serve: --train-demo failed" >&2
+        tail -5 "$dir/train.err" >&2
+        return 1
+    }
+    boot_server "$dir/model.log" --model "$dir/model.json" || return 1
+    ./target/release/briq-serve drive --addr "$SERVE_ADDR" "$dir/corpus"/*.html \
+        > "$dir/out_serve_model.json" 2> /dev/null
+    rc_drive=$?
+    ./target/release/briq-align --model "$dir/model.json" --json "$dir/corpus"/*.html \
+        > "$dir/out_batch_model.json" 2> /dev/null
+    rc_batch=$?
+    model_s=$(( SECONDS - t0 ))
+    if [ "$rc_drive" -ne "$rc_batch" ] || { [ "$rc_drive" -ne 0 ] && [ "$rc_drive" -ne 2 ]; }; then
+        echo "serve: --model exit codes diverged or failed (drive: $rc_drive, batch: $rc_batch)" >&2
+        return 1
+    fi
+    cmp -s "$dir/out_serve_model.json" "$dir/out_batch_model.json" || {
+        echo "serve: --model wire output differs from briq-align --model --json" >&2
+        diff "$dir/out_serve_model.json" "$dir/out_batch_model.json" | head -20 >&2
+        return 1
+    }
+    stop_server "$SERVE_ADDR" "$SERVE_PID" "$dir/model.log.err" || return 1
+    SERVE_PID=""
+    if [ "$model_s" -gt "$bound_s" ]; then
+        echo "serve: training plus both model loads took ${model_s}s (bound ${bound_s}s)" >&2
+        return 1
+    fi
+
+    echo "serve: wire output byte-identical to batch ($(wc -c < "$dir/out_serve.json") bytes untrained, $(wc -c < "$dir/out_serve_model.json") bytes with --model, trained + loaded in ${model_s}s); chaos + overload clean, all servers drained"
 }
 
 known_stage() {

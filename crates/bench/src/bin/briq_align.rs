@@ -18,7 +18,7 @@
 //! on that. Without `--model`, the heuristic (untrained) prior is used;
 //! `--gen-corpus` writes a seeded page corpus for batch runs.
 //!
-//! Alignment runs through the budgeted, panic-free `align_checked` path.
+//! Alignment runs through the budgeted, panic-free `align_with` path.
 //! Every degraded item (skipped table, truncated candidate set,
 //! non-converged walk) becomes one JSON object with its scope prefixed by
 //! the document's batch index; `--diagnostics` writes them as JSON Lines,

@@ -122,7 +122,7 @@ pub fn prepare_observed(cfg: &SetupConfig, rec: &Recorder) -> ExperimentSetup {
         build_training_examples(&train_docs, &briq_cfg.virtual_cells, &briq_cfg.context);
     // Hyper-parameters (α/β mix and ε of Eq. 1) are grid-searched on the
     // validation split, as in §VII-C.
-    let (briq, _) = Briq::train_tuned_observed(briq_cfg, &train_docs, &tagger_docs, rec);
+    let (briq, _) = Briq::train_tuned(briq_cfg, &train_docs, &tagger_docs, rec);
 
     ExperimentSetup {
         documents,

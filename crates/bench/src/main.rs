@@ -19,7 +19,7 @@ use briq_bench::experiments::{
 use briq_bench::report::{fmt, per_type_table, TextTable, TYPE_ORDER};
 use briq_bench::throughput::{build_pages, measure, ThroughputSystem};
 use briq_core::obs::Recorder;
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOptions, Briq, BriqConfig};
 use briq_core::resolution::ResolutionConfig;
 use briq_core::FeatureMask;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
@@ -160,8 +160,8 @@ fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
         let docs = briq_bench::throughput::segment_pages(&pages);
         let (mut surviving, mut recalled) = (0usize, 0usize);
         for doc in &docs {
-            let (_, _, indexed) = briq.align_detailed(doc);
-            let (_, _, exhaustive) = oracle.align_detailed(doc);
+            let indexed = briq.align_with(doc, &AlignOptions::default()).candidates;
+            let exhaustive = oracle.align_with(doc, &AlignOptions::default()).candidates;
             for (ci, co) in indexed.iter().zip(&exhaustive) {
                 let kept: std::collections::BTreeSet<usize> = ci.iter().map(|c| c.target).collect();
                 for c in co {

@@ -3,7 +3,7 @@
 //! single-machine stand-in for the paper's 10-executor Spark cluster.
 //!
 //! The timed path per page mirrors the production pipeline: HTML parsing,
-//! page segmentation, then [`briq_core::batch::align_batch`] over the
+//! page segmentation, then [`Briq::align_batch`] over the
 //! segmented documents (mention/target extraction, classification,
 //! filtering and global resolution on a work-stealing worker pool).
 
@@ -78,7 +78,7 @@ pub fn segment_pages(pages: &[String]) -> Vec<Document> {
 
 /// Run the throughput measurement over `pages` with `workers` threads.
 ///
-/// The full-pipeline system runs on [`briq_core::batch::align_batch`], so
+/// The full-pipeline system runs on [`Briq::align_batch`], so
 /// its alignments are bit-identical for every worker count; the timed
 /// region covers parsing, segmentation, and the batch run.
 pub fn measure(
@@ -121,7 +121,7 @@ pub fn measure(
     }
 }
 
-/// The RWR-only baseline does not go through the staged `align_checked`
+/// The RWR-only baseline does not go through the staged `align_with`
 /// path, so it keeps a minimal cursor pool of its own.
 fn rwr_only_run(briq: &Briq, docs: &[Document], workers: usize) -> usize {
     let run_doc = |doc: &Document| {

@@ -2,9 +2,10 @@
 //! the bench-only thread shim, standing in for the paper's 10-executor
 //! Spark deployment (§VI, Table VIII) on a single machine.
 //!
-//! [`align_batch`] runs [`Briq::align_checked_with`] over a batch of
-//! documents on a chunked, work-stealing pool of scoped threads
-//! (std-only, no external runtime). The contract:
+//! [`Briq::align_batch`] runs [`Briq::align_with`] under
+//! [`BatchConfig::budget`] over a batch of documents on a chunked,
+//! work-stealing pool of scoped threads (std-only, no external runtime).
+//! The contract:
 //!
 //! * **Shared read-only system** — one [`Briq`] (classifier forests,
 //!   tagger, lexicons, unit tables) is borrowed immutably by every
@@ -27,10 +28,10 @@ use std::time::Instant;
 
 use briq_table::Document;
 
-use crate::error::{BriqError, Budget, DegradedAction, Diagnostics, Stage};
+use crate::error::{BriqError, Budget, CancelToken, DegradedAction, Diagnostics, Stage};
 use crate::mention::Alignment;
 use crate::obs::{chrome_trace_json, names, DocTrace, MetricsRegistry, Recorder};
-use crate::pipeline::Briq;
+use crate::pipeline::{AlignOptions, Briq};
 use crate::span;
 use crate::store::AlignmentStore;
 
@@ -180,7 +181,7 @@ impl BatchConfig {
 pub struct DocReport {
     /// Position of the document in the input batch.
     pub index: usize,
-    /// Alignments, bit-identical to a sequential `align_checked_with`
+    /// Alignments, bit-identical to a sequential [`Briq::align_with`]
     /// run under the same budget.
     pub alignments: Vec<Alignment>,
     /// Everything that degraded while aligning this document.
@@ -214,7 +215,7 @@ impl WorkerStats {
     }
 }
 
-/// Everything [`align_batch`] observed: per-document results in input
+/// Everything [`Briq::align_batch`] observed: per-document results in input
 /// order plus pool-level accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
@@ -326,57 +327,18 @@ impl BatchReport {
     }
 }
 
+/// A batch's store and the per-document keys (`None` keys by batch index).
+type BatchStore<'a> = Option<(&'a AlignmentStore, Option<&'a [u64]>)>;
+
 /// Align every document of `docs` with a shared `briq`, using
-/// `cfg.effective_jobs(docs.len())` worker threads. See the module docs
-/// for the determinism and isolation contract.
-pub fn align_batch(briq: &Briq, docs: &[Document], cfg: &BatchConfig) -> BatchReport {
-    align_batch_inner(briq, docs, cfg, None)
-}
-
-/// [`align_batch`] against a shared [`AlignmentStore`]: one store serves
-/// every worker (its map is mutex-guarded; its counters are atomics),
-/// and each document is keyed by `keys[i]` — or its batch index when
-/// `keys` is `None`. Output stays input-order deterministic and
-/// bit-identical to [`align_batch`] for every cache state: the store
-/// only ever changes which work is *skipped*, never what a document's
-/// output is (see [`crate::store`]). When the store is disabled
-/// (`use_store: false`) this *is* [`align_batch`].
-pub fn align_batch_stored(
+/// `cfg.effective_jobs(docs.len())` worker threads, optionally through a
+/// shared store (its map is mutex-guarded, its counters are atomics). See
+/// the module docs for the determinism and isolation contract.
+pub(crate) fn align_batch(
     briq: &Briq,
     docs: &[Document],
     cfg: &BatchConfig,
-    store: &AlignmentStore,
-    keys: Option<&[u64]>,
-) -> BatchReport {
-    debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
-    if !briq.cfg.use_store {
-        return align_batch_inner(briq, docs, cfg, None);
-    }
-    align_batch_inner(briq, docs, cfg, Some(StoreCtx { store, keys }))
-}
-
-/// The store context threaded through the worker pool when a batch runs
-/// against an [`AlignmentStore`].
-#[derive(Clone, Copy)]
-struct StoreCtx<'a> {
-    store: &'a AlignmentStore,
-    keys: Option<&'a [u64]>,
-}
-
-impl StoreCtx<'_> {
-    fn key(&self, index: usize) -> u64 {
-        match self.keys {
-            Some(keys) => keys.get(index).copied().unwrap_or(index as u64),
-            None => index as u64,
-        }
-    }
-}
-
-fn align_batch_inner(
-    briq: &Briq,
-    docs: &[Document],
-    cfg: &BatchConfig,
-    store: Option<StoreCtx<'_>>,
+    store: BatchStore<'_>,
 ) -> BatchReport {
     let start = Instant::now();
     let jobs = cfg.effective_jobs(docs.len());
@@ -471,7 +433,7 @@ fn run_worker(
     chunk: usize,
     cfg: &BatchConfig,
     epoch: Instant,
-    store: Option<StoreCtx<'_>>,
+    store: BatchStore<'_>,
 ) -> (WorkerStats, Vec<DocReport>) {
     let mut out = Vec::new();
     let mut busy_s = 0.0f64;
@@ -482,8 +444,26 @@ fn run_worker(
         }
         let hi = (lo + chunk).min(docs.len());
         for (i, doc) in docs[lo..hi].iter().enumerate() {
+            let index = lo + i;
             let t0 = Instant::now();
-            out.push(align_one(briq, lo + i, doc, cfg, epoch, store));
+            // The recorder is worker-local (one per document, never
+            // shared), so recording needs no locks; `epoch` is the batch
+            // start, putting every document's spans on one shared trace
+            // timeline.
+            let opts = AlignOptions {
+                budget: cfg.budget,
+                rec: if cfg.trace {
+                    Recorder::enabled_at(epoch)
+                } else {
+                    Recorder::disabled()
+                },
+                cancel: CancelToken::none(),
+                store: store.map(|(st, keys)| {
+                    let key = keys.and_then(|k| k.get(index).copied());
+                    (st, key.unwrap_or(index as u64))
+                }),
+            };
+            out.push(align_one(briq, index, doc, opts));
             busy_s += t0.elapsed().as_secs_f64();
         }
     }
@@ -497,38 +477,28 @@ fn run_worker(
     )
 }
 
-fn align_one(
+/// Align one document of a batch (or of a served page) under
+/// `catch_unwind`: a panic degrades the document to [`panicked_report`]
+/// instead of taking the worker down.
+pub(crate) fn align_one(
     briq: &Briq,
     index: usize,
     doc: &Document,
-    cfg: &BatchConfig,
-    epoch: Instant,
-    store: Option<StoreCtx<'_>>,
+    opts: AlignOptions<'_>,
 ) -> DocReport {
-    // The recorder is worker-local (one per document, never shared), so
-    // recording needs no locks; `epoch` is the batch start, putting every
-    // document's spans on one shared trace timeline.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let rec = if cfg.trace {
-            Recorder::enabled_at(epoch)
-        } else {
-            Recorder::disabled()
+    let result = catch_unwind(AssertUnwindSafe(move || {
+        let out = {
+            let _g = span!(opts.rec, names::SPAN_ALIGN, doc = index);
+            briq.align_with(doc, &opts)
         };
-        let (alignments, diagnostics, timings) = {
-            let _g = span!(rec, names::SPAN_ALIGN, doc = index);
-            match store {
-                Some(ctx) => briq.align_stored(ctx.store, ctx.key(index), doc, &cfg.budget, &rec),
-                None => briq.align_observed(doc, &cfg.budget, &rec),
-            }
-        };
-        (alignments, diagnostics, timings, rec.finish())
+        (out, opts.rec.finish())
     }));
     match result {
-        Ok((alignments, diagnostics, timings, trace)) => DocReport {
+        Ok((out, trace)) => DocReport {
             index,
-            alignments,
-            diagnostics,
-            timings,
+            alignments: out.alignments,
+            diagnostics: out.diagnostics,
+            timings: out.timings,
             trace,
         },
         Err(_) => panicked_report(index),
@@ -536,7 +506,8 @@ fn align_one(
 }
 
 /// The degraded stand-in for a document whose worker panicked: empty
-/// alignments plus one `Stage::Batch` diagnostic.
+/// alignments plus one `Stage::Batch` diagnostic — the only place a
+/// `Stage::Batch` diagnostic is recorded.
 fn panicked_report(index: usize) -> DocReport {
     let mut diagnostics = Diagnostics::default();
     diagnostics.record(
@@ -610,7 +581,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_clean_noop() {
         let briq = Briq::untrained(BriqConfig::default());
-        let r = align_batch(&briq, &[], &BatchConfig::with_jobs(4));
+        let r = briq.align_batch(&[], &BatchConfig::with_jobs(4));
         assert!(r.documents.is_empty());
         assert!(r.workers.is_empty());
         assert!(r.is_clean());
@@ -622,7 +593,7 @@ mod tests {
     fn batch_smaller_than_worker_count() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs = vec![doc(0), doc(1)];
-        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(8));
+        let r = briq.align_batch(&docs, &BatchConfig::with_jobs(8));
         // Never more workers than documents.
         assert_eq!(r.jobs, 2);
         assert_eq!(r.documents.len(), 2);
@@ -636,8 +607,8 @@ mod tests {
     fn output_order_is_input_order_and_jobs_invariant() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..13).map(doc).collect();
-        let serial = align_batch(&briq, &docs, &BatchConfig::with_jobs(1));
-        let parallel = align_batch(&briq, &docs, &BatchConfig::with_jobs(8));
+        let serial = briq.align_batch(&docs, &BatchConfig::with_jobs(1));
+        let parallel = briq.align_batch(&docs, &BatchConfig::with_jobs(8));
         for (i, d) in serial.documents.iter().enumerate() {
             assert_eq!(d.index, i);
         }
@@ -668,7 +639,7 @@ mod tests {
             budget,
             trace: false,
         };
-        let r = align_batch(&briq, &docs, &cfg);
+        let r = briq.align_batch(&docs, &cfg);
         assert!(
             !r.documents[1].diagnostics.is_clean(),
             "{:?}",
@@ -677,14 +648,18 @@ mod tests {
         // The healthy neighbours are untouched: same result as aligning
         // them alone under the same budget.
         for i in [0usize, 2] {
-            let (solo, solo_diags) = briq.align_checked_with(&docs[i], &budget);
-            assert_eq!(r.documents[i].alignments, solo);
-            assert_eq!(r.documents[i].diagnostics, solo_diags);
+            let opts = AlignOptions {
+                budget,
+                ..AlignOptions::default()
+            };
+            let solo = briq.align_with(&docs[i], &opts);
+            assert_eq!(r.documents[i].alignments, solo.alignments);
+            assert_eq!(r.documents[i].diagnostics, solo.diagnostics);
         }
     }
 
     #[test]
-    fn batch_matches_sequential_align_checked() {
+    fn batch_matches_sequential_align_with() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..6).map(doc).collect();
         let cfg = BatchConfig {
@@ -693,10 +668,13 @@ mod tests {
             budget: Budget::default(),
             trace: false,
         };
-        let r = align_batch(&briq, &docs, &cfg);
+        let r = briq.align_batch(&docs, &cfg);
         for (i, d) in r.documents.iter().enumerate() {
-            let (solo, _) = briq.align_checked(&docs[i]);
-            assert_eq!(d.alignments, solo);
+            let opts = AlignOptions {
+                budget: Budget::default(),
+                ..AlignOptions::default()
+            };
+            assert_eq!(d.alignments, briq.align_with(&docs[i], &opts).alignments);
         }
     }
 
@@ -704,7 +682,7 @@ mod tests {
     fn report_accounting_is_consistent() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..5).map(doc).collect();
-        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(2));
+        let r = briq.align_batch(&docs, &BatchConfig::with_jobs(2));
         assert_eq!(r.jobs, 2);
         assert_eq!(r.workers.len(), 2);
         assert_eq!(
@@ -767,7 +745,7 @@ mod tests {
     fn traced_batch_output_is_identical_and_trace_merge_is_input_order_deterministic() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..9).map(doc).collect();
-        let untraced = align_batch(&briq, &docs, &BatchConfig::with_jobs(2));
+        let untraced = briq.align_batch(&docs, &BatchConfig::with_jobs(2));
 
         let mut runs = Vec::new();
         for jobs in [1usize, 3, 8] {
@@ -777,7 +755,7 @@ mod tests {
                 budget: Budget::default(),
                 trace: true,
             };
-            let r = align_batch(&briq, &docs, &cfg);
+            let r = briq.align_batch(&docs, &cfg);
             // Tracing only observes: alignments and diagnostics match the
             // untraced run bit for bit.
             for (t, u) in r.documents.iter().zip(&untraced.documents) {
@@ -850,7 +828,7 @@ mod tests {
     fn untraced_reports_still_yield_metrics_from_timings() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs = vec![doc(0), doc(1)];
-        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(1));
+        let r = briq.align_batch(&docs, &BatchConfig::with_jobs(1));
         assert!(r.documents.iter().all(|d| d.trace.is_none()));
         let m = r.merged_metrics();
         assert_eq!(m.counter(names::DOCUMENTS), 2);

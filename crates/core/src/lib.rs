@@ -76,9 +76,7 @@ pub mod store;
 pub mod tagger;
 pub mod training;
 
-pub use batch::{
-    align_batch, align_batch_stored, BatchConfig, BatchReport, DocReport, StageTimings, WorkerStats,
-};
+pub use batch::{BatchConfig, BatchReport, DocReport, StageTimings, WorkerStats};
 pub use error::{
     BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostic, Diagnostics, Stage,
 };
@@ -86,5 +84,5 @@ pub use features::{FeatureMask, FEATURE_COUNT};
 pub use jaro::jaro_winkler;
 pub use mention::{Alignment, GoldAlignment};
 pub use obs::{DocTrace, MetricsRegistry, Recorder};
-pub use pipeline::{Briq, BriqConfig};
+pub use pipeline::{AlignOptions, AlignOutput, Briq, BriqConfig};
 pub use store::AlignmentStore;

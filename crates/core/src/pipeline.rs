@@ -5,7 +5,7 @@ use briq_table::virtual_cells::{all_table_mentions_capped, VirtualCellConfig};
 use briq_table::{Document, TableError, TableMention};
 use briq_text::cues::AggregationKind;
 
-use crate::batch::{align_batch, BatchConfig, BatchReport, StageTimings};
+use crate::batch::{BatchConfig, BatchReport, StageTimings};
 use crate::classifier::PairClassifier;
 use crate::context::{ContextConfig, DocContext, TableContext};
 use crate::error::{
@@ -21,6 +21,7 @@ use crate::obs::{names, Recorder};
 use crate::resolution::{resolve_observed, ResolutionConfig, ResolutionEvent};
 use crate::retrieval::CandidateIndex;
 use crate::span;
+use crate::store::AlignmentStore;
 use crate::tagger::{tagger_features, MentionTagger, TaggerExample};
 use crate::training::{
     build_training_examples, examples_to_dataset, tagger_label, LabeledDocument,
@@ -109,6 +110,47 @@ pub struct Briq {
     tagger: MentionTagger,
 }
 
+/// How one [`Briq::align_with`] call runs. The default is what
+/// [`Briq::align`] does: unlimited budget, disabled recorder, no cancel
+/// token, no store.
+pub struct AlignOptions<'a> {
+    /// Resource caps for this document.
+    pub budget: Budget,
+    /// Span and metrics sink (observation only).
+    pub rec: Recorder,
+    /// Cooperative cancellation (deadline and/or shutdown flag).
+    pub cancel: CancelToken,
+    /// The versioned store and this document's key in it. Consulted
+    /// only when `cfg.use_store` is also true.
+    pub store: Option<(&'a AlignmentStore, u64)>,
+}
+
+impl Default for AlignOptions<'_> {
+    fn default() -> Self {
+        AlignOptions {
+            budget: Budget::unlimited(),
+            rec: Recorder::disabled(),
+            cancel: CancelToken::none(),
+            store: None,
+        }
+    }
+}
+
+/// Everything one [`Briq::align_with`] call produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AlignOutput {
+    /// The resolved alignments.
+    pub alignments: Vec<Alignment>,
+    /// Filtering totals (Table VI).
+    pub stats: FilterStats,
+    /// Per mention, the candidates kept by adaptive filtering.
+    pub candidates: Vec<Vec<Candidate>>,
+    /// Everything that degraded while aligning.
+    pub diagnostics: Diagnostics,
+    /// Per-stage wall-clock (the only field that varies run to run).
+    pub timings: StageTimings,
+}
+
 /// Uniform-weight combination of the 12 features into a `[0, 1]` score —
 /// the prior used before training and by the RWR-only baseline ("these
 /// features are combined using uniform weights", §VII-D).
@@ -168,7 +210,7 @@ impl Briq {
     /// forest training, and tagger training, plus the `train_*` counters,
     /// are recorded into `rec`. The recorder only observes — the trained
     /// model is bit-identical with it enabled or disabled.
-    pub fn train_observed(
+    fn train_observed(
         cfg: BriqConfig,
         train_docs: &[LabeledDocument],
         tagger_docs: &[LabeledDocument],
@@ -208,20 +250,13 @@ impl Briq {
     /// for the hyper-parameters, for the classifiers as well as for the
     /// graph-based algorithm"). Returns the tuned system and the selected
     /// parameters' validation F1.
+    ///
+    /// The training spans and counters of [`Briq::train`] are recorded
+    /// into `rec` (pass [`Recorder::disabled`] to record nothing). The
+    /// validation grid search runs after the `train` span closes and is
+    /// deliberately not traced per point — it aligns every validation
+    /// document dozens of times and would dwarf the registry.
     pub fn train_tuned(
-        cfg: BriqConfig,
-        train_docs: &[LabeledDocument],
-        validation_docs: &[LabeledDocument],
-    ) -> (Briq, f64) {
-        Self::train_tuned_observed(cfg, train_docs, validation_docs, &Recorder::disabled())
-    }
-
-    /// [`Briq::train_tuned`] with the training spans and counters of
-    /// [`Briq::train_observed`] recorded into `rec`. The validation grid
-    /// search runs after the `train` span closes and is deliberately not
-    /// traced per point — it aligns every validation document dozens of
-    /// times and would dwarf the registry.
-    pub fn train_tuned_observed(
         cfg: BriqConfig,
         train_docs: &[LabeledDocument],
         validation_docs: &[LabeledDocument],
@@ -338,28 +373,8 @@ impl Briq {
         doc: &Document,
         budget: &Budget,
     ) -> (ScoredDocument, Diagnostics) {
-        let mut timings = StageTimings::default();
-        self.score_document_staged(doc, budget, &mut timings)
-    }
-
-    /// [`Briq::score_document_budgeted`] with per-stage wall-clock
-    /// accumulated into `timings` (extraction vs. classification) — the
-    /// instrumented entry used by the batch engine. Identical results.
-    pub(crate) fn score_document_staged(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        timings: &mut StageTimings,
-    ) -> (ScoredDocument, Diagnostics) {
-        let t0 = Instant::now();
         let (mentions, ctx, targets, diags) = self.extract_stage(doc, budget);
-        timings.extract_s += t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
         let (scored, tags) = self.classify_stage(doc, &mentions, &ctx, &targets);
-        timings.classify_s += t1.elapsed().as_secs_f64();
-        timings.pairs_scored += (mentions.len() * targets.len()) as u64;
-
         (
             ScoredDocument {
                 mentions,
@@ -545,231 +560,74 @@ impl Briq {
         (candidates, stats)
     }
 
-    /// Full pipeline: align a document's text mentions to table mentions.
+    /// Full pipeline: align a document's text mentions to table mentions
+    /// under an unlimited budget — [`Briq::align_with`] with the default
+    /// [`AlignOptions`], keeping only the alignments.
     pub fn align(&self, doc: &Document) -> Vec<Alignment> {
-        self.align_detailed(doc).0
+        self.align_with(doc, &AlignOptions::default()).alignments
     }
 
-    /// Like [`Briq::align`], also returning filtering statistics and the
-    /// candidates (for Table VI style analyses).
-    pub fn align_detailed(
-        &self,
-        doc: &Document,
-    ) -> (Vec<Alignment>, FilterStats, Vec<Vec<Candidate>>) {
-        let (alignments, stats, candidates, _) = self.align_budgeted(doc, &Budget::unlimited());
-        (alignments, stats, candidates)
-    }
-
-    /// Panic-free alignment under the default [`Budget`]: every degraded
-    /// table, mention, or stage is isolated and reported in the returned
-    /// [`Diagnostics`] instead of hanging or aborting the document. On
-    /// documents that stay within budget the alignments are bit-identical
-    /// to [`Briq::align`].
-    pub fn align_checked(&self, doc: &Document) -> (Vec<Alignment>, Diagnostics) {
-        self.align_checked_with(doc, &Budget::default())
-    }
-
-    /// [`Briq::align_checked`] under a caller-chosen budget.
-    pub fn align_checked_with(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (Vec<Alignment>, Diagnostics) {
-        let (alignments, _, _, diags) = self.align_budgeted(doc, budget);
-        (alignments, diags)
-    }
-
-    /// [`Briq::align_checked_with`] plus per-stage wall-clock: how long
-    /// this document spent in extraction, classification, filtering, and
-    /// resolution. Same code path, so alignments and diagnostics are
-    /// bit-identical; this is what the batch engine runs per document.
-    pub fn align_timed(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        self.align_observed(doc, budget, &Recorder::disabled())
-    }
-
-    /// [`Briq::align_timed`] with full observability: spans for every
-    /// pipeline stage plus the DESIGN.md §11 counters and histograms are
-    /// recorded into `rec`. The recorder only *observes* — alignments,
-    /// diagnostics, and timings are bit-identical whether it is enabled,
-    /// disabled, or absent (CI byte-compares a traced run to hold this).
-    /// Pass [`Recorder::disabled`] to make this exactly
-    /// [`Briq::align_timed`]: one branch per instrumentation point, no
-    /// allocation.
-    pub fn align_observed(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        self.align_cancellable(doc, budget, rec, &CancelToken::none())
-    }
-
-    /// [`Briq::align_observed`] under a cooperative [`CancelToken`]. The
-    /// token is polled at every stage boundary and once per mention inside
-    /// the classification and resolution loops; when it fires the request
-    /// returns **no partial state** — an empty alignment set plus exactly
-    /// one [`DegradedAction::Cancelled`] diagnostic naming the stage that
-    /// observed the cancellation (degradation diagnostics recorded before
-    /// the cut are kept: they describe work that really happened). With
-    /// [`CancelToken::none`] this is bit-identical to
-    /// [`Briq::align_observed`] — same code path, the checks never fire.
-    pub fn align_cancellable(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        let mut timings = StageTimings::default();
-        let (alignments, _, _, diags) =
-            self.align_budgeted_cancellable(doc, budget, &mut timings, rec, cancel);
-        (alignments, diags, timings)
+    /// The one alignment entry point. Every other way of aligning a
+    /// document (`align`, the batch engine, the server) runs through it.
+    ///
+    /// * **Budget** — stages degrade instead of exploding: every degraded
+    ///   table, mention, or stage is isolated and reported in
+    ///   [`AlignOutput::diagnostics`]. On documents that stay within the
+    ///   budget the output is bit-identical to an unlimited run.
+    /// * **Recorder** — spans for every pipeline stage plus the
+    ///   DESIGN.md §11 counters and histograms. It only *observes*: the
+    ///   output is bit-identical whether it is enabled or disabled (CI
+    ///   byte-compares a traced run to hold this).
+    /// * **Cancel token** — polled at every stage boundary and once per
+    ///   mention inside the classification and resolution loops. When it
+    ///   fires the call returns **no partial state**: no alignments, no
+    ///   candidates, and exactly one [`DegradedAction::Cancelled`]
+    ///   diagnostic naming the stage that observed it (diagnostics
+    ///   recorded before the cut are kept: they describe work that really
+    ///   happened). Cancelled runs are never cached.
+    /// * **Store** — with `Some((store, key))` *and* `cfg.use_store`,
+    ///   unchanged documents are served from the versioned
+    ///   [`AlignmentStore`], only the dirty mentions of partially changed
+    ///   ones are re-aligned, and cold keys are computed and cached.
+    ///   Output is bit-identical for every cache state — the store only
+    ///   replays artifacts whose inputs fingerprint-match. With
+    ///   `use_store: false` the store is neither consulted nor populated.
+    pub fn align_with(&self, doc: &Document, opts: &AlignOptions<'_>) -> AlignOutput {
+        match opts.store.filter(|_| self.cfg.use_store) {
+            Some((store, key)) => store.align(self, key, doc, opts),
+            None => self.align_uncached(doc, opts),
+        }
     }
 
     /// Align a whole batch of documents on a work-stealing worker pool —
     /// see [`crate::batch`] for the engine and its determinism contract.
     pub fn align_batch(&self, docs: &[Document], cfg: &BatchConfig) -> BatchReport {
-        align_batch(self, docs, cfg)
+        crate::batch::align_batch(self, docs, cfg, None)
     }
 
-    /// [`Briq::align_batch`] against a shared [`crate::store::AlignmentStore`]
-    /// — see [`crate::batch::align_batch_stored`].
+    /// [`Briq::align_batch`] against a shared [`AlignmentStore`]: one
+    /// store serves every worker, and document `i` is keyed by `keys[i]`
+    /// (or by `i` when `keys` is `None`). Output stays input-order
+    /// deterministic and bit-identical to [`Briq::align_batch`] for every
+    /// cache state; with `use_store: false` the store is not touched.
     pub fn align_batch_stored(
         &self,
         docs: &[Document],
         cfg: &BatchConfig,
-        store: &crate::store::AlignmentStore,
+        store: &AlignmentStore,
         keys: Option<&[u64]>,
     ) -> BatchReport {
-        crate::batch::align_batch_stored(self, docs, cfg, store, keys)
+        debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
+        crate::batch::align_batch(self, docs, cfg, Some((store, keys)))
     }
 
-    /// [`Briq::align_observed`] through a versioned
-    /// [`crate::store::AlignmentStore`]: serve unchanged documents from
-    /// cache, re-align only the dirty mentions of partially changed
-    /// ones, and fall back to the plain path (computing and caching
-    /// everything) on a cold key. Bit-identical to
-    /// [`Briq::align_observed`] in alignments and diagnostics for every
-    /// cache state — the store only ever replays artifacts whose inputs
-    /// fingerprint-match. With `use_store: false` this *is*
-    /// [`Briq::align_observed`] (the store is not consulted or
-    /// populated).
-    pub fn align_stored(
-        &self,
-        store: &crate::store::AlignmentStore,
-        key: u64,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        self.align_stored_cancellable(store, key, doc, budget, rec, &CancelToken::none())
-    }
-
-    /// [`Briq::align_stored`] under a cooperative [`CancelToken`].
-    /// Cancelled runs return the usual no-partial-state shape and are
-    /// never cached.
-    pub fn align_stored_cancellable(
-        &self,
-        store: &crate::store::AlignmentStore,
-        key: u64,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
+    /// The stateless pipeline behind [`Briq::align_with`]: every stage
+    /// runs from scratch.
+    fn align_uncached(&self, doc: &Document, opts: &AlignOptions<'_>) -> AlignOutput {
+        let (budget, rec, cancel) = (&opts.budget, &opts.rec, &opts.cancel);
         let mut timings = StageTimings::default();
-        if !self.cfg.use_store {
-            let (alignments, _, _, diags) =
-                self.align_budgeted_cancellable(doc, budget, &mut timings, rec, cancel);
-            return (alignments, diags, timings);
-        }
-        let (alignments, _, _, diags) =
-            store.align_cancellable(self, key, doc, budget, &mut timings, rec, cancel);
-        (alignments, diags, timings)
-    }
-
-    /// [`Briq::align_stored`] also returning filter totals and kept
-    /// candidates — the store-path twin of [`Briq::align_detailed`],
-    /// used by the equivalence suite to compare every output surface.
-    #[allow(clippy::type_complexity)]
-    pub fn align_stored_detailed(
-        &self,
-        store: &crate::store::AlignmentStore,
-        key: u64,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
-        let mut timings = StageTimings::default();
-        if !self.cfg.use_store {
-            return self.align_budgeted_cancellable(
-                doc,
-                budget,
-                &mut timings,
-                &Recorder::disabled(),
-                &CancelToken::none(),
-            );
-        }
-        store.align_cancellable(
-            self,
-            key,
-            doc,
-            budget,
-            &mut timings,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        )
-    }
-
-    /// The one shared alignment code path. `align`/`align_detailed` call
-    /// it with [`Budget::unlimited`] and discard the diagnostics;
-    /// `align_checked` calls it with a finite budget — so budgeted and
-    /// legacy alignment can never drift apart.
-    fn align_budgeted(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
-        let mut timings = StageTimings::default();
-        self.align_budgeted_cancellable(
-            doc,
-            budget,
-            &mut timings,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        )
-    }
-
-    /// [`Briq::align_budgeted`] with per-stage timing accumulation,
-    /// observability recording, and cooperative cancellation.
-    fn align_budgeted_cancellable(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        timings: &mut StageTimings,
-        rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
         if let Some(cause) = cancel.cause() {
-            return cancelled_result(Stage::Extraction, cause, Diagnostics::default(), rec);
+            return cancelled_result(Stage::Extraction, cause, Default::default(), timings, rec);
         }
         let t_extract = Instant::now();
         let (mentions, ctx, targets, mut diags) = {
@@ -780,11 +638,19 @@ impl Briq {
         rec.count(names::MENTIONS, mentions.len() as u64);
         rec.count(names::TARGETS, targets.len() as u64);
 
-        let (candidates, stats) = match self
-            .classify_filter_stage(doc, &mentions, &ctx, &targets, timings, rec, cancel)
-        {
+        let (candidates, stats) = match self.classify_filter_stage(
+            doc,
+            &mentions,
+            &ctx,
+            &targets,
+            &mut timings,
+            rec,
+            cancel,
+        ) {
             Ok(out) => out,
-            Err(cause) => return cancelled_result(Stage::Classification, cause, diags, rec),
+            Err(cause) => {
+                return cancelled_result(Stage::Classification, cause, diags, timings, rec)
+            }
         };
         timings.pairs_scored += (mentions.len() * targets.len()) as u64;
         rec.count(names::PAIRS_SCORED, (mentions.len() * targets.len()) as u64);
@@ -796,27 +662,26 @@ impl Briq {
             &candidates,
             &mut diags,
             budget,
-            timings,
+            &mut timings,
             rec,
             cancel,
         ) {
             Ok(a) => a,
-            Err((stage, cause)) => return cancelled_result(stage, cause, diags, rec),
+            Err((stage, cause)) => return cancelled_result(stage, cause, diags, timings, rec),
         };
-        rec.count(
-            names::BUDGET_EXHAUSTIONS,
-            diags
-                .items
-                .iter()
-                .filter(|d| d.action == DegradedAction::Truncated)
-                .count() as u64,
-        );
-        (alignments, stats, candidates, diags)
+        record_budget_exhaustions(&diags, rec);
+        AlignOutput {
+            alignments,
+            stats,
+            candidates,
+            diagnostics: diags,
+            timings,
+        }
     }
 
     /// Stages 4+5: budgeted graph construction and global resolution,
     /// then the final alignment mapping. Shared verbatim between
-    /// [`Briq::align_budgeted_cancellable`] and the alignment store's
+    /// [`Briq::align_uncached`] and the alignment store's
     /// incremental path (DESIGN.md §15) — resolution is a global
     /// algorithm (each decision updates the graph the next walk runs
     /// on), so any changed document re-runs this stage in full, from
@@ -1089,26 +954,40 @@ impl<'a> ClassifyPass<'a> {
 /// [`DegradedAction::Cancelled`] entry naming the stage that observed the
 /// token. Discarding the stage outputs wholesale is what "no partial
 /// state" means — a cancelled response can never leak a half-resolved
-/// alignment set.
+/// alignment set. The timings of the work done before the cut are kept.
 pub(crate) fn cancelled_result(
     stage: Stage,
     cause: CancelCause,
-    mut diags: Diagnostics,
+    mut diagnostics: Diagnostics,
+    timings: StageTimings,
     rec: &Recorder,
-) -> (
-    Vec<Alignment>,
-    FilterStats,
-    Vec<Vec<Candidate>>,
-    Diagnostics,
-) {
-    diags.record(
+) -> AlignOutput {
+    diagnostics.record(
         stage,
         "document".into(),
         &BriqError::Cancelled { stage, cause },
         DegradedAction::Cancelled,
     );
     rec.count(names::CANCELLATIONS, 1);
-    (Vec::new(), FilterStats::default(), Vec::new(), diags)
+    AlignOutput {
+        alignments: Vec::new(),
+        stats: FilterStats::default(),
+        candidates: Vec::new(),
+        diagnostics,
+        timings,
+    }
+}
+
+/// Count the budget-truncation diagnostics of a finished document.
+pub(crate) fn record_budget_exhaustions(diags: &Diagnostics, rec: &Recorder) {
+    rec.count(
+        names::BUDGET_EXHAUSTIONS,
+        diags
+            .items
+            .iter()
+            .filter(|d| d.action == DegradedAction::Truncated)
+            .count() as u64,
+    );
 }
 
 #[cfg(test)]
@@ -1194,14 +1073,22 @@ mod tests {
         assert!(briq.align(&doc).is_empty());
     }
 
+    fn budgeted(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
+        let opts = AlignOptions {
+            budget,
+            ..AlignOptions::default()
+        };
+        briq.align_with(doc, &opts)
+    }
+
     #[test]
-    fn align_checked_matches_align_on_clean_input() {
+    fn default_budget_matches_align_on_clean_input() {
         let briq = Briq::untrained(BriqConfig::default());
         let doc = health_doc();
         let plain = briq.align(&doc);
-        let (checked, diags) = briq.align_checked(&doc);
-        assert_eq!(plain, checked);
-        assert!(diags.is_clean(), "{diags:?}");
+        let out = budgeted(&briq, &doc, Budget::default());
+        assert_eq!(plain, out.alignments);
+        assert!(out.diagnostics.is_clean(), "{:?}", out.diagnostics);
     }
 
     #[test]
@@ -1214,7 +1101,7 @@ mod tests {
             max_graph_edges: 2,
             max_rwr_iterations: 1,
         };
-        let (alignments, diags) = briq.align_checked_with(&doc, &budget);
+        let diags = budgeted(&briq, &doc, budget).diagnostics;
         assert!(!diags.is_clean());
         let stages: Vec<Stage> = diags.items.iter().map(|d| d.stage).collect();
         assert!(stages.contains(&Stage::VirtualCells), "{diags:?}");
@@ -1227,8 +1114,6 @@ mod tests {
             .filter(|t| t.kind != briq_table::TableMentionKind::SingleCell)
             .count();
         assert!(virtuals <= budget.max_virtual_cells_per_table);
-        // Degraded mode still returns (possibly empty) alignments.
-        let _ = alignments;
     }
 
     #[test]
@@ -1239,7 +1124,7 @@ mod tests {
             "There were 38 patients in total.",
             vec![Table::from_grid("", Vec::new())],
         );
-        let (_, diags) = briq.align_checked(&doc);
+        let diags = budgeted(&briq, &doc, Budget::default()).diagnostics;
         assert!(
             diags.items.iter().any(|d| d.stage == Stage::Extraction
                 && d.action == crate::error::DegradedAction::Skipped),
@@ -1275,8 +1160,12 @@ mod tests {
         let mut cfg = BriqConfig::default();
         cfg.forest.n_trees = 16;
         cfg.tagger_forest.n_trees = 8;
-        let (briq, f1) =
-            Briq::train_tuned(cfg, std::slice::from_ref(&ld), std::slice::from_ref(&ld));
+        let (briq, f1) = Briq::train_tuned(
+            cfg,
+            std::slice::from_ref(&ld),
+            std::slice::from_ref(&ld),
+            &Recorder::disabled(),
+        );
         assert!(briq.cfg.resolution.alpha + briq.cfg.resolution.beta > 0.99);
         assert!((0.0..=1.0).contains(&f1));
     }

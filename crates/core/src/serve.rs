@@ -56,7 +56,6 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -65,12 +64,10 @@ use briq_json::{ToJson, Value};
 use briq_table::html::parse_page;
 use briq_table::segment::{segment_page, SegmentConfig};
 
-use crate::batch::StageTimings;
-use crate::error::{
-    BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostics, Stage,
-};
-use crate::obs::{names, MetricsRegistry, Recorder};
-use crate::pipeline::Briq;
+use crate::batch::{align_one, DocReport, StageTimings};
+use crate::error::{Budget, CancelCause, CancelToken, DegradedAction, Stage};
+use crate::obs::{names, MetricsRegistry};
+use crate::pipeline::{AlignOptions, Briq};
 use crate::store::{AlignmentStore, Fingerprint};
 
 /// Lock a mutex, tolerating poisoning: a panicked holder (impossible on
@@ -256,10 +253,11 @@ pub struct AlignOutcome {
 /// document under `budget` and `cancel`, and build the response value.
 ///
 /// Pure with respect to the server — callable from unit tests without a
-/// socket. The per-document treatment mirrors [`crate::batch`] exactly
-/// (same `align_cancellable` path, same `catch_unwind` isolation, same
-/// panicked-document diagnostic, same `doc <i>: <scope>` prefixes), so
-/// clean responses are byte-compatible with `briq-align` output.
+/// socket. Each document goes through the batch engine's per-document
+/// function (same [`Briq::align_with`] path, same `catch_unwind`
+/// isolation, same panicked-document diagnostic) with the same
+/// `doc <i>: <scope>` prefixes, so clean responses are byte-compatible
+/// with `briq-align` output.
 ///
 /// With `store: Some(..)` each segmented document runs through the
 /// warm [`AlignmentStore`] instead, keyed by the request identity (the
@@ -291,39 +289,28 @@ pub fn serve_align(
     };
     let mut doc_values = Vec::with_capacity(docs.len());
     for (i, doc) in docs.iter().enumerate() {
-        let result = catch_unwind(AssertUnwindSafe(|| match store {
-            Some(st) => {
+        let opts = AlignOptions {
+            budget: *budget,
+            cancel: cancel.clone(),
+            store: store.map(|st| {
                 let mut f = Fingerprint::new();
                 f.u64(request_fp);
                 f.usize(i);
-                briq.align_stored_cancellable(
-                    st,
-                    f.finish(),
-                    doc,
-                    budget,
-                    &Recorder::disabled(),
-                    cancel,
-                )
-            }
-            None => briq.align_cancellable(doc, budget, &Recorder::disabled(), cancel),
-        }));
-        let (alignments, diagnostics) = match result {
-            Ok((alignments, diagnostics, timings)) => {
-                outcome.timings.merge(&timings);
-                (alignments, diagnostics)
-            }
-            Err(_) => {
-                outcome.panics += 1;
-                let mut diagnostics = Diagnostics::default();
-                diagnostics.record(
-                    Stage::Batch,
-                    format!("document {i}"),
-                    &BriqError::WorkerPanicked { doc: i },
-                    DegradedAction::Skipped,
-                );
-                (Vec::new(), diagnostics)
-            }
+                (st, f.finish())
+            }),
+            ..AlignOptions::default()
         };
+        let DocReport {
+            alignments,
+            diagnostics,
+            timings,
+            ..
+        } = align_one(briq, i, doc, opts);
+        outcome.timings.merge(&timings);
+        // `Stage::Batch` is recorded only for a panicked document.
+        if diagnostics.items.iter().any(|d| d.stage == Stage::Batch) {
+            outcome.panics += 1;
+        }
         for d in &diagnostics.items {
             if d.action == DegradedAction::Cancelled {
                 match cancel.cause() {

@@ -60,11 +60,13 @@ use briq_table::{Document, Table, TableMention};
 
 use crate::batch::StageTimings;
 use crate::context::{DocContext, MentionContext, TableContext};
-use crate::error::{Budget, CancelToken, Diagnostics, Stage};
+use crate::error::{Budget, Diagnostics, Stage};
 use crate::filtering::{Candidate, FilterStats};
 use crate::mention::{text_mentions, Alignment, TextMention};
 use crate::obs::{names, Recorder};
-use crate::pipeline::{cancelled_result, Briq, ClassifyPass};
+use crate::pipeline::{
+    cancelled_result, record_budget_exhaustions, AlignOptions, AlignOutput, Briq, ClassifyPass,
+};
 
 /// Incremental FNV-1a hasher used for every content fingerprint. FNV is
 /// fully deterministic — no per-process seed — so fingerprints are
@@ -699,30 +701,22 @@ impl AlignmentStore {
             .fetch_sub(n.min(self.bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
     }
 
-    /// Align `doc` through the store. Same output contract (and shape)
-    /// as `Briq::align_budgeted_cancellable`: alignments, filter totals,
-    /// kept candidates, diagnostics — bit-identical to the full
-    /// recompute for every possible cache state. Cancelled runs return
-    /// the no-partial-state shape and leave the cache untouched.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub(crate) fn align_cancellable(
+    /// Align `doc` through the store (the store branch of
+    /// [`Briq::align_with`]): the same [`AlignOutput`], bit-identical to
+    /// the full recompute for every possible cache state. Cancelled runs
+    /// return the no-partial-state shape and leave the cache untouched.
+    pub(crate) fn align(
         &self,
         briq: &Briq,
         key: u64,
         doc: &Document,
-        budget: &Budget,
-        timings: &mut StageTimings,
-        rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
+        opts: &AlignOptions<'_>,
+    ) -> AlignOutput {
+        let (budget, rec, cancel) = (&opts.budget, &opts.rec, &opts.cancel);
+        let mut timings = StageTimings::default();
         self.lookups.fetch_add(1, Ordering::Relaxed);
         if let Some(cause) = cancel.cause() {
-            return cancelled_result(Stage::Extraction, cause, Diagnostics::default(), rec);
+            return cancelled_result(Stage::Extraction, cause, Default::default(), timings, rec);
         }
 
         // Fingerprint the inputs. Charged to the extract stage: it is
@@ -747,14 +741,15 @@ impl AlignmentStore {
                     rec.count(names::STORE_HITS, 1);
                     rec.count(names::MENTIONS, e.text_mentions.len() as u64);
                     rec.count(names::TARGETS, e.targets.len() as u64);
-                    let out = (
-                        e.alignments.clone(),
-                        e.stats.clone(),
-                        e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
-                        e.diagnostics.clone(),
-                    );
+                    let mut out = AlignOutput {
+                        alignments: e.alignments.clone(),
+                        stats: e.stats.clone(),
+                        candidates: e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
+                        diagnostics: e.diagnostics.clone(),
+                        timings,
+                    };
                     drop(map);
-                    timings.extract_s += t_extract.elapsed().as_secs_f64();
+                    out.timings.extract_s += t_extract.elapsed().as_secs_f64();
                     return out;
                 }
             }
@@ -833,7 +828,7 @@ impl AlignmentStore {
         let mut realigned = 0u64;
         for (mi, &fp) in mention_fps.iter().enumerate() {
             if let Some(cause) = cancel.cause() {
-                return cancelled_result(Stage::Classification, cause, diags, rec);
+                return cancelled_result(Stage::Classification, cause, diags, timings, rec);
             }
             let occ = occurrence.entry(fp).or_insert(0);
             let slot = cached.get(&fp).and_then(|v| v.get(*occ)).copied();
@@ -847,9 +842,9 @@ impl AlignmentStore {
                 }
                 _ => {
                     let pass = pass.get_or_insert_with(|| {
-                        ClassifyPass::new(briq, doc, &mentions, &ctx, &targets, timings)
+                        ClassifyPass::new(briq, doc, &mentions, &ctx, &targets, &mut timings)
                     });
-                    let (cands, delta) = pass.run_mention(mi, timings, rec);
+                    let (cands, delta) = pass.run_mention(mi, &mut timings, rec);
                     realigned += 1;
                     stats.merge(&delta);
                     artifacts.push(MentionArtifact {
@@ -862,7 +857,7 @@ impl AlignmentStore {
             }
         }
         if let Some(p) = pass {
-            p.finish(timings, &stats, rec);
+            p.finish(&mut timings, &stats, rec);
         }
         self.mentions_realigned
             .fetch_add(realigned, Ordering::Relaxed);
@@ -879,21 +874,14 @@ impl AlignmentStore {
             &candidates,
             &mut diags,
             budget,
-            timings,
+            &mut timings,
             rec,
             cancel,
         ) {
             Ok(a) => a,
-            Err((stage, cause)) => return cancelled_result(stage, cause, diags, rec),
+            Err((stage, cause)) => return cancelled_result(stage, cause, diags, timings, rec),
         };
-        rec.count(
-            names::BUDGET_EXHAUSTIONS,
-            diags
-                .items
-                .iter()
-                .filter(|d| d.action == crate::error::DegradedAction::Truncated)
-                .count() as u64,
-        );
+        record_budget_exhaustions(&diags, rec);
 
         // Cache the new version. `ctx.tables` moves out so the text side
         // is stored table-free and the two sides invalidate separately.
@@ -945,7 +933,13 @@ impl AlignmentStore {
         self.evict_to_budget(rec);
         rec.observe(names::STORE_BYTES_PEAK, self.bytes_peak() as f64);
 
-        (alignments, stats, candidates, diags)
+        AlignOutput {
+            alignments,
+            stats,
+            candidates,
+            diagnostics: diags,
+            timings,
+        }
     }
 }
 
@@ -960,6 +954,26 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::pipeline::BriqConfig;
+
+    /// `doc` aligned through `store` under `key`, timings zeroed so whole
+    /// outputs compare.
+    fn stored(
+        briq: &Briq,
+        store: &AlignmentStore,
+        key: u64,
+        doc: &Document,
+        budget: &Budget,
+    ) -> AlignOutput {
+        let opts = AlignOptions {
+            budget: *budget,
+            store: Some((store, key)),
+            ..AlignOptions::default()
+        };
+        AlignOutput {
+            timings: StageTimings::default(),
+            ..briq.align_with(doc, &opts)
+        }
+    }
 
     fn doc(text: &str, grid: Vec<Vec<String>>) -> Document {
         Document::new(0, text, vec![Table::from_grid("", grid)])
@@ -1016,20 +1030,17 @@ mod tests {
         let store = AlignmentStore::for_system(&briq);
         let d = sample();
         let budget = Budget::default();
-        let cold = briq.align_stored_detailed(&store, 7, &d, &budget);
+        let cold = stored(&briq, &store, 7, &d, &budget);
         assert_eq!(store.hits(), 0);
         assert_eq!(store.lookups(), 1);
-        let mut timings = StageTimings::default();
-        let warm = store.align_cancellable(
-            &briq,
-            7,
-            &d,
-            &budget,
-            &mut timings,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        );
+        let opts = AlignOptions {
+            budget,
+            store: Some((&store, 7)),
+            ..AlignOptions::default()
+        };
+        let mut warm = briq.align_with(&d, &opts);
         assert_eq!(store.hits(), 1);
+        let timings = std::mem::take(&mut warm.timings);
         assert_eq!(cold, warm);
         assert_eq!(timings.classify_s, 0.0);
         assert_eq!(timings.filter_s, 0.0);
@@ -1043,7 +1054,7 @@ mod tests {
         let store = AlignmentStore::for_system(&briq);
         let budget = Budget::unlimited();
         let d = sample();
-        briq.align_stored_detailed(&store, 1, &d, &budget);
+        stored(&briq, &store, 1, &d, &budget);
         let edited = doc(
             &d.text,
             vec![
@@ -1052,11 +1063,11 @@ mod tests {
                 vec!["Depression".into(), "38".into()],
             ],
         );
-        let incremental = briq.align_stored_detailed(&store, 1, &edited, &budget);
-        let full = briq.align_detailed(&edited);
-        assert_eq!(incremental.0, full.0);
-        assert_eq!(incremental.1, full.1);
-        assert_eq!(incremental.2, full.2);
+        let incremental = stored(&briq, &store, 1, &edited, &budget);
+        let full = briq.align_with(&edited, &AlignOptions::default());
+        assert_eq!(incremental.alignments, full.alignments);
+        assert_eq!(incremental.stats, full.stats);
+        assert_eq!(incremental.candidates, full.candidates);
         assert_eq!(store.invalidations(), 1);
     }
 
@@ -1133,8 +1144,8 @@ mod tests {
         for _ in 0..2 {
             for (k, d) in [(1u64, &d1), (2u64, &d2)] {
                 assert_eq!(
-                    briq.align_stored_detailed(&bounded, k, d, &budget),
-                    briq.align_stored_detailed(&oracle, k, d, &budget),
+                    stored(&briq, &bounded, k, d, &budget),
+                    stored(&briq, &oracle, k, d, &budget),
                 );
             }
         }

@@ -1327,7 +1327,7 @@ mod tests {
     use super::super::{AlignmentStore, StoreOptions};
     use super::*;
     use crate::error::Budget;
-    use crate::pipeline::{Briq, BriqConfig};
+    use crate::pipeline::{AlignOptions, AlignOutput, Briq, BriqConfig};
     use briq_table::{Document, Table};
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
@@ -1403,21 +1403,22 @@ mod tests {
         ]
     }
 
-    /// Align `docs` through `store` and return every output surface.
-    #[allow(clippy::type_complexity)]
-    fn align_all(
-        briq: &Briq,
-        store: &AlignmentStore,
-        docs: &[Document],
-    ) -> Vec<(
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    )> {
+    /// Align `docs` through `store` and return every output surface
+    /// (timings zeroed, so whole outputs compare).
+    fn align_all(briq: &Briq, store: &AlignmentStore, docs: &[Document]) -> Vec<AlignOutput> {
         docs.iter()
             .enumerate()
-            .map(|(i, d)| briq.align_stored_detailed(store, i as u64, d, &Budget::default()))
+            .map(|(i, d)| {
+                let opts = AlignOptions {
+                    budget: Budget::default(),
+                    store: Some((store, i as u64)),
+                    ..AlignOptions::default()
+                };
+                AlignOutput {
+                    timings: Default::default(),
+                    ..briq.align_with(d, &opts)
+                }
+            })
             .collect()
     }
 
@@ -1806,9 +1807,7 @@ mod tests {
             let entry_docs = docs();
             let mut stream = file_header(1234, 0);
             let store = AlignmentStore::for_system(&briq);
-            for (i, d) in entry_docs.iter().enumerate() {
-                briq.align_stored_detailed(&store, i as u64, d, &Budget::default());
-            }
+            align_all(&briq, &store, &entry_docs);
             let payloads = store.encoded_entries();
             for p in &payloads {
                 stream.extend_from_slice(&frame(p));

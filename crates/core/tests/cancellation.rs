@@ -8,8 +8,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use briq_core::obs::Recorder;
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOptions, AlignOutput, Briq, BriqConfig};
 use briq_core::{Budget, CancelToken, DegradedAction, Diagnostics};
 use briq_table::{Document, Table};
 use proptest::prelude::*;
@@ -26,6 +25,16 @@ fn numeric_doc(vals: &[u32], text_val: u32) -> Document {
         format!("The report mentions {text_val} units in its overview section."),
         vec![Table::from_grid("stats", grid)],
     )
+}
+
+/// `doc` aligned under `budget` and `cancel`.
+fn align(briq: &Briq, doc: &Document, budget: Budget, cancel: CancelToken) -> AlignOutput {
+    let opts = AlignOptions {
+        budget,
+        cancel,
+        ..AlignOptions::default()
+    };
+    briq.align_with(doc, &opts)
 }
 
 fn fired_flag() -> Arc<AtomicBool> {
@@ -79,21 +88,24 @@ proptest! {
         let briq = Briq::untrained(BriqConfig::default());
         let budget = Budget::default();
 
-        let baseline = briq.align_checked_with(&doc, &budget);
+        let baseline = align(&briq, &doc, budget, CancelToken::none());
 
         let token = CancelToken::with_flag(fired_flag());
-        let (alignments, diags, _) =
-            briq.align_cancellable(&doc, &budget, &Recorder::disabled(), &token);
-        assert_cancelled_clean(&alignments, &diags, "shutdown drain")?;
+        let out = align(&briq, &doc, budget, token);
+        assert_cancelled_clean(&out.alignments, &out.diagnostics, "shutdown drain")?;
 
         // Serviceable afterward: the cancelled call left nothing behind
         // in the (shared, immutable) Briq — the next clean call is
         // bit-identical to the pre-cancellation baseline.
-        let after = briq.align_checked_with(&doc, &budget);
-        prop_assert_eq!(&after.0, &baseline.0, "alignments drifted after a cancellation");
+        let after = align(&briq, &doc, budget, CancelToken::none());
         prop_assert_eq!(
-            after.1.to_jsonl(),
-            baseline.1.to_jsonl(),
+            &after.alignments,
+            &baseline.alignments,
+            "alignments drifted after a cancellation"
+        );
+        prop_assert_eq!(
+            after.diagnostics.to_jsonl(),
+            baseline.diagnostics.to_jsonl(),
             "diagnostics drifted after a cancellation"
         );
     }
@@ -108,44 +120,33 @@ proptest! {
         let doc = numeric_doc(&vals, text_val);
         let briq = Briq::untrained(BriqConfig::default());
         let token = CancelToken::deadline_in(std::time::Duration::ZERO);
-        let (alignments, diags, _) = briq.align_cancellable(
-            &doc,
-            &Budget::default(),
-            &Recorder::disabled(),
-            &token,
-        );
-        assert_cancelled_clean(&alignments, &diags, "deadline exceeded")?;
+        let out = align(&briq, &doc, Budget::default(), token);
+        assert_cancelled_clean(&out.alignments, &out.diagnostics, "deadline exceeded")?;
     }
 
-    /// `CancelToken::none` is the oracle guard: the cancellable path
-    /// with a token that can never fire is bit-identical to the legacy
-    /// checked path AND to plain `align` under an unlimited budget.
+    /// A live token that never fires is bit-identical to no token at
+    /// all, under the default budget AND — against plain `align` —
+    /// under an unlimited one.
     #[test]
-    fn none_token_is_bit_identical_to_the_legacy_paths(
+    fn unfired_token_is_bit_identical_to_no_token(
         vals in proptest::collection::vec(1u32..99_999, 2..6),
         text_val in 1u32..99_999,
     ) {
         let doc = numeric_doc(&vals, text_val);
         let briq = Briq::untrained(BriqConfig::default());
+        let live = || {
+            CancelToken::with_flag(Arc::new(AtomicBool::new(false)))
+                .and_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600))
+        };
+
         let budget = Budget::default();
+        let with_token = align(&briq, &doc, budget, live());
+        let without = align(&briq, &doc, budget, CancelToken::none());
+        prop_assert_eq!(&with_token.alignments, &without.alignments);
+        prop_assert_eq!(with_token.diagnostics.to_jsonl(), without.diagnostics.to_jsonl());
 
-        let (a_cancellable, d_cancellable, _) = briq.align_cancellable(
-            &doc,
-            &budget,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        );
-        let (a_checked, d_checked) = briq.align_checked_with(&doc, &budget);
-        prop_assert_eq!(&a_cancellable, &a_checked);
-        prop_assert_eq!(d_cancellable.to_jsonl(), d_checked.to_jsonl());
-
-        let unlimited = Budget::unlimited();
-        let (a_unlimited, d_unlimited, _) = briq.align_cancellable(
-            &doc,
-            &unlimited,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        );
+        let unlimited = align(&briq, &doc, Budget::unlimited(), live());
+        let (a_unlimited, d_unlimited) = (unlimited.alignments, unlimited.diagnostics);
         prop_assert_eq!(&a_unlimited, &briq.align(&doc));
         // Benign degradations (e.g. RWR residual truncation) may appear,
         // but a token that never fires must never record a cancellation.
@@ -168,8 +169,8 @@ fn shutdown_flag_wins_over_expired_deadline() {
     let briq = Briq::untrained(BriqConfig::default());
     let token = CancelToken::with_flag(fired_flag())
         .and_deadline(std::time::Instant::now() - std::time::Duration::from_secs(1));
-    let (alignments, diags, _) =
-        briq.align_cancellable(&doc, &Budget::default(), &Recorder::disabled(), &token);
+    let out = align(&briq, &doc, Budget::default(), token);
+    let (alignments, diags) = (out.alignments, out.diagnostics);
     assert!(alignments.is_empty());
     let cancelled: Vec<_> = diags
         .items

@@ -145,7 +145,7 @@ proptest! {
         prop_assert_eq!(f, once);
     }
 
-    /// `align_checked` never panics and never exceeds its budget on
+    /// `align_with` never panics and never exceeds its budget on
     /// arbitrary UTF-8 documents: whatever bytes end up in the text and
     /// the table cells, the budgeted pipeline terminates, keeps every
     /// score finite, stays within the virtual-cell cap, and reports any
@@ -166,7 +166,9 @@ proptest! {
             max_graph_edges: 64,
             max_rwr_iterations: 8,
         };
-        let (alignments, diags) = briq.align_checked_with(&doc, &budget);
+        let opts = briq_core::AlignOptions { budget, ..Default::default() };
+        let out = briq.align_with(&doc, &opts);
+        let (alignments, diags) = (out.alignments, out.diagnostics);
         for a in &alignments {
             prop_assert!(a.score.is_finite());
             prop_assert!(a.mention_end <= doc.text.len());

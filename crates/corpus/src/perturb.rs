@@ -17,7 +17,8 @@
 //! markup, colspan bombs, zero-row tables, `1e999`/NaN-shaped numerics,
 //! mixed-locale digit groupings, dense tables with huge virtual-cell
 //! fanout, and regex-hostile strings. They exist to be fed through
-//! `Briq::align_checked`, which must degrade — never panic or hang.
+//! `Briq::align_with` under a finite budget, which must degrade — never
+//! panic or hang.
 
 use briq_core::training::LabeledDocument;
 use briq_table::html::parse_page;

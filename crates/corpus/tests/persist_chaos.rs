@@ -19,11 +19,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOptions, AlignOutput, Briq, BriqConfig};
 use briq_core::store::persist::{LOG_FILE, MANIFEST_FILE};
 use briq_core::store::{AlignmentStore, StoreOptions};
 use briq_core::Budget;
 use briq_corpus::perturb::{adversarial_documents, Adversary};
+use briq_table::Document;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -52,21 +53,41 @@ impl Drop for TempDir {
     }
 }
 
-fn briq() -> Briq {
-    Briq::untrained(BriqConfig::default())
+/// `doc` aligned through `store` under `key`, default budget.
+fn stored(briq: &Briq, store: &AlignmentStore, key: u64, doc: &Document) -> AlignOutput {
+    let opts = AlignOptions {
+        budget: Budget::default(),
+        store: Some((store, key)),
+        ..AlignOptions::default()
+    };
+    briq.align_with(doc, &opts)
 }
 
-/// A full-recompute oracle: same model, store disabled, so
-/// `align_stored_detailed` falls through to the plain pipeline while
-/// returning the same 4-tuple output surface as the store path.
-fn oracle() -> (Briq, AlignmentStore) {
-    let cfg = BriqConfig {
-        use_store: false,
-        ..BriqConfig::default()
+/// [`stored`], asserting every output surface but the timings equals a
+/// full recompute: the same system with no store.
+fn assert_matches_recompute(
+    briq: &Briq,
+    store: &AlignmentStore,
+    key: u64,
+    doc: &Document,
+    what: &str,
+) -> AlignOutput {
+    let got = stored(briq, store, key, doc);
+    let opts = AlignOptions {
+        budget: Budget::default(),
+        ..AlignOptions::default()
     };
-    let briq = Briq::untrained(cfg);
-    let store = AlignmentStore::for_system(&briq);
-    (briq, store)
+    let full = briq.align_with(doc, &opts);
+    let surfaces = |o: &AlignOutput| {
+        let o = o.clone();
+        (o.alignments, o.stats, o.candidates, o.diagnostics.items)
+    };
+    assert_eq!(surfaces(&got), surfaces(&full), "{what}");
+    got
+}
+
+fn briq() -> Briq {
+    Briq::untrained(BriqConfig::default())
 }
 
 fn open(briq: &Briq, dir: &Path) -> AlignmentStore {
@@ -84,12 +105,10 @@ fn open(briq: &Briq, dir: &Path) -> AlignmentStore {
 /// documents through a persistent store, drop it with NO snapshot (the
 /// in-process analogue of SIGKILL — only the incrementally-appended
 /// novelty log survives), reopen, and re-drive. Every document must be
-/// a full hit served bit-identically to the cold oracle.
+/// a full hit served bit-identically to the cold recompute.
 #[test]
 fn restart_recovery_matches_full_recompute_across_all_families() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
-    let budget = Budget::default();
     for kind in Adversary::ALL {
         let seed = 17u64;
         let docs = adversarial_documents(kind, seed);
@@ -98,7 +117,7 @@ fn restart_recovery_matches_full_recompute_across_all_families() {
             let store = open(&briq, dir.path());
             assert_eq!(store.recovered_entries(), 0);
             for (i, doc) in docs.iter().enumerate() {
-                briq.align_stored_detailed(&store, i as u64, doc, &budget);
+                stored(&briq, &store, i as u64, doc);
             }
             // Dropped without store.snapshot(): recovery must come from
             // the novelty log alone.
@@ -112,31 +131,12 @@ fn restart_recovery_matches_full_recompute_across_all_families() {
         );
         assert!(!store.recover_truncated(), "{}: clean log", kind.name());
         for (i, doc) in docs.iter().enumerate() {
-            let warm = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(
-                warm.0,
-                full.0,
-                "{}: recovered doc {i} alignments",
-                kind.name()
-            );
-            assert_eq!(
-                warm.1,
-                full.1,
-                "{}: recovered doc {i} filter stats",
-                kind.name()
-            );
-            assert_eq!(
-                warm.2,
-                full.2,
-                "{}: recovered doc {i} candidates",
-                kind.name()
-            );
-            assert_eq!(
-                warm.3.items,
-                full.3.items,
-                "{}: recovered doc {i} diagnostics",
-                kind.name()
+            assert_matches_recompute(
+                &briq,
+                &store,
+                i as u64,
+                doc,
+                &format!("{}: recovered doc {i}", kind.name()),
             );
         }
         if !docs.is_empty() {
@@ -157,15 +157,13 @@ fn restart_recovery_matches_full_recompute_across_all_families() {
 #[test]
 fn torn_log_recovers_prefix_and_recomputes_rest() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
-    let budget = Budget::default();
     let docs = adversarial_documents(Adversary::NonFiniteNumerics, 23);
     assert!(docs.len() >= 2, "family must yield several documents");
     let (pristine, manifest) = {
         let dir = TempDir::new("pristine");
         let store = open(&briq, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc);
         }
         (
             fs::read(dir.path().join(LOG_FILE)).expect("read pristine log"),
@@ -187,12 +185,7 @@ fn torn_log_recovers_prefix_and_recomputes_rest() {
             "cut {cut}: cannot recover more than was written"
         );
         for (i, doc) in docs.iter().enumerate() {
-            let got = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(got.0, full.0, "cut {cut}: doc {i} alignments");
-            assert_eq!(got.1, full.1, "cut {cut}: doc {i} filter stats");
-            assert_eq!(got.2, full.2, "cut {cut}: doc {i} candidates");
-            assert_eq!(got.3.items, full.3.items, "cut {cut}: doc {i} diagnostics");
+            assert_matches_recompute(&briq, &store, i as u64, doc, &format!("cut {cut}: doc {i}"));
         }
         // After the re-drive repaired the tail, a second restart must
         // recover everything.
@@ -209,18 +202,16 @@ fn torn_log_recovers_prefix_and_recomputes_rest() {
 /// Corruption chaos: flip single bytes at several offsets inside the
 /// record region. Every corruption is caught by the frame checksum (or
 /// the strict decoder) — recovery keeps the valid prefix, and the
-/// re-drive stays bit-identical to the oracle.
+/// re-drive stays bit-identical to the full recompute.
 #[test]
 fn corrupted_log_bytes_never_poison_output() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
-    let budget = Budget::default();
     let docs = adversarial_documents(Adversary::RegexHostile, 31);
     let (pristine, manifest) = {
         let dir = TempDir::new("corrupt-src");
         let store = open(&briq, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc);
         }
         (
             fs::read(dir.path().join(LOG_FILE)).expect("read pristine log"),
@@ -238,30 +229,23 @@ fn corrupted_log_bytes_never_poison_output() {
         fs::write(dir.path().join(LOG_FILE), &bytes).expect("write corrupt log");
         let store = open(&briq, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            let got = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(got.0, full.0, "flip@{at}: doc {i} alignments");
-            assert_eq!(got.1, full.1, "flip@{at}: doc {i} filter stats");
-            assert_eq!(got.2, full.2, "flip@{at}: doc {i} candidates");
-            assert_eq!(got.3.items, full.3.items, "flip@{at}: doc {i} diagnostics");
+            assert_matches_recompute(&briq, &store, i as u64, doc, &format!("flip@{at}: doc {i}"));
         }
     }
 }
 
 /// Version/model-mismatch chaos: state persisted by a differently
 /// configured system is rebuilt, not trusted — the reopened store starts
-/// empty and cold output still matches the oracle.
+/// empty and cold output still matches the full recompute.
 #[test]
 fn model_mismatch_rebuilds_and_stays_correct() {
-    let (oracle, ostore) = oracle();
-    let budget = Budget::default();
     let docs = adversarial_documents(Adversary::MixedLocale, 41);
     let dir = TempDir::new("skew");
     {
         let old = briq();
         let store = open(&old, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            old.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&old, &store, i as u64, doc);
         }
         store.snapshot().expect("snapshot");
     }
@@ -275,25 +259,9 @@ fn model_mismatch_rebuilds_and_stays_correct() {
         "a reconfigured model must not trust old artifacts"
     );
     assert!(store.recover_rebuilt());
-    let (oracle_skewed, ostore_skewed) = {
-        let mut cfg = BriqConfig {
-            use_store: false,
-            ..BriqConfig::default()
-        };
-        cfg.filter.k_exact += 1;
-        let b = Briq::untrained(cfg);
-        let s = AlignmentStore::for_system(&b);
-        (b, s)
-    };
     for (i, doc) in docs.iter().enumerate() {
-        let got = skewed.align_stored_detailed(&store, i as u64, doc, &budget);
-        let full = oracle_skewed.align_stored_detailed(&ostore_skewed, i as u64, doc, &budget);
-        assert_eq!(got.0, full.0, "skew: doc {i} alignments");
-        assert_eq!(got.3.items, full.3.items, "skew: doc {i} diagnostics");
+        assert_matches_recompute(&skewed, &store, i as u64, doc, &format!("skew: doc {i}"));
     }
-    // Unused in this test but keeps the shared oracle honest: the
-    // *original* model's outputs are a different function entirely.
-    let _ = (oracle, ostore, budget);
 }
 
 /// Eviction under persistence: a byte-bounded persistent store still
@@ -302,8 +270,6 @@ fn model_mismatch_rebuilds_and_stays_correct() {
 #[test]
 fn bounded_persistent_store_matches_oracle_after_restart() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
-    let budget = Budget::default();
     let docs = adversarial_documents(Adversary::ColspanBomb, 53);
     let dir = TempDir::new("bounded");
     let opts = StoreOptions {
@@ -314,7 +280,7 @@ fn bounded_persistent_store_matches_oracle_after_restart() {
     {
         let store = AlignmentStore::with_options(&briq, &opts).expect("open bounded");
         for (i, doc) in docs.iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc);
         }
         if docs.len() > 1 {
             assert!(store.evictions() > 0, "budget must evict");
@@ -327,11 +293,6 @@ fn bounded_persistent_store_matches_oracle_after_restart() {
         "recovery re-applies the memory budget"
     );
     for (i, doc) in docs.iter().enumerate() {
-        let got = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-        let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-        assert_eq!(got.0, full.0, "bounded: doc {i} alignments");
-        assert_eq!(got.1, full.1, "bounded: doc {i} filter stats");
-        assert_eq!(got.2, full.2, "bounded: doc {i} candidates");
-        assert_eq!(got.3.items, full.3.items, "bounded: doc {i} diagnostics");
+        assert_matches_recompute(&briq, &store, i as u64, doc, &format!("bounded: doc {i}"));
     }
 }

@@ -8,28 +8,48 @@
 //! regex-hostile text, …) are exactly the inputs where a stale or
 //! miskeyed cache would slip through a clean-corpus test.
 
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOptions, AlignOutput, Briq, BriqConfig};
 use briq_core::store::{text_fingerprint, AlignmentStore};
-use briq_core::{Budget, Recorder};
+use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, perturb_document, Adversary, Perturbation};
+use briq_table::Document;
+
+/// `doc` aligned through `store` under `key`, default budget.
+fn stored(briq: &Briq, store: &AlignmentStore, key: u64, doc: &Document) -> AlignOutput {
+    let opts = AlignOptions {
+        budget: Budget::default(),
+        store: Some((store, key)),
+        ..AlignOptions::default()
+    };
+    briq.align_with(doc, &opts)
+}
+
+/// [`stored`], asserting every output surface but the timings equals a
+/// full recompute: the same system with no store.
+fn assert_matches_recompute(
+    briq: &Briq,
+    store: &AlignmentStore,
+    key: u64,
+    doc: &Document,
+    what: &str,
+) -> AlignOutput {
+    let got = stored(briq, store, key, doc);
+    let opts = AlignOptions {
+        budget: Budget::default(),
+        ..AlignOptions::default()
+    };
+    let full = briq.align_with(doc, &opts);
+    let surfaces = |o: &AlignOutput| {
+        let o = o.clone();
+        (o.alignments, o.stats, o.candidates, o.diagnostics.items)
+    };
+    assert_eq!(surfaces(&got), surfaces(&full), "{what}");
+    got
+}
 
 fn briq() -> Briq {
     Briq::untrained(BriqConfig::default())
-}
-
-/// A full-recompute oracle: same model, store disabled, so
-/// `align_stored_detailed` falls through to the plain pipeline while
-/// returning the same 4-tuple surface (alignments, stats, candidates,
-/// diagnostics) as the store path.
-fn oracle() -> (Briq, AlignmentStore) {
-    let cfg = BriqConfig {
-        use_store: false,
-        ..BriqConfig::default()
-    };
-    let briq = Briq::untrained(cfg);
-    let store = AlignmentStore::for_system(&briq);
-    (briq, store)
 }
 
 /// Warm-unchanged: every chaos family's documents, aligned cold through
@@ -39,46 +59,24 @@ fn oracle() -> (Briq, AlignmentStore) {
 #[test]
 fn warm_unchanged_matches_full_recompute_across_all_families() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
-    let budget = Budget::default();
     for kind in Adversary::ALL {
         for seed in [11u64, 29] {
             let docs = adversarial_documents(kind, seed);
             let store = AlignmentStore::for_system(&briq);
             for (i, doc) in docs.iter().enumerate() {
                 // Cold pass populates the cache.
-                briq.align_stored_detailed(&store, i as u64, doc, &budget);
+                stored(&briq, &store, i as u64, doc);
             }
             for (i, doc) in docs.iter().enumerate() {
-                let warm = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-                let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-                assert_eq!(
-                    warm.0,
-                    full.0,
-                    "{}: seed {seed} doc {i} alignments",
-                    kind.name()
-                );
-                assert_eq!(
-                    warm.1,
-                    full.1,
-                    "{}: seed {seed} doc {i} filter stats",
-                    kind.name()
-                );
-                assert_eq!(
-                    warm.2,
-                    full.2,
-                    "{}: seed {seed} doc {i} candidates",
-                    kind.name()
-                );
-                assert_eq!(
-                    warm.3.items,
-                    full.3.items,
-                    "{}: seed {seed} doc {i} diagnostics",
-                    kind.name()
+                let warm = assert_matches_recompute(
+                    &briq,
+                    &store,
+                    i as u64,
+                    doc,
+                    &format!("{}: seed {seed} doc {i}", kind.name()),
                 );
 
-                let (_, _, timings) =
-                    briq.align_stored(&store, i as u64, doc, &budget, &Recorder::disabled());
+                let timings = warm.timings;
                 assert_eq!(
                     (
                         timings.classify_s,
@@ -109,31 +107,20 @@ fn warm_unchanged_matches_full_recompute_across_all_families() {
 #[test]
 fn mutated_documents_match_full_recompute_across_all_families() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
-    let budget = Budget::default();
     for kind in Adversary::ALL {
         let seed = 43u64;
         let store = AlignmentStore::for_system(&briq);
         for (i, doc) in adversarial_documents(kind, seed).iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc);
         }
         let mutated = adversarial_documents(kind, seed + 1);
         for (i, doc) in mutated.iter().enumerate() {
-            let inc = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(inc.0, full.0, "{}: mutated doc {i} alignments", kind.name());
-            assert_eq!(
-                inc.1,
-                full.1,
-                "{}: mutated doc {i} filter stats",
-                kind.name()
-            );
-            assert_eq!(inc.2, full.2, "{}: mutated doc {i} candidates", kind.name());
-            assert_eq!(
-                inc.3.items,
-                full.3.items,
-                "{}: mutated doc {i} diagnostics",
-                kind.name()
+            assert_matches_recompute(
+                &briq,
+                &store,
+                i as u64,
+                doc,
+                &format!("{}: mutated doc {i}", kind.name()),
             );
         }
     }

@@ -38,9 +38,13 @@ pub fn decode_entities(s: &str) -> String {
     while let Some(pos) = rest.find('&') {
         out.push_str(&rest[..pos]);
         rest = &rest[pos..];
-        let semi = rest.find(';');
+        // An entity is at most 10 bytes from `&` to `;`, so only that
+        // window is searched: scanning the whole remaining input at every
+        // `&` made decoding quadratic. `;` is ASCII, so its byte index is
+        // a char boundary.
+        let semi = rest.bytes().take(11).position(|b| b == b';');
         match semi {
-            Some(end) if end <= 10 => {
+            Some(end) => {
                 let ent = &rest[1..end];
                 let decoded = match ent {
                     "amp" => Some('&'),

@@ -26,10 +26,11 @@
 //! ```
 
 pub use briq_core::{
-    align_batch, baselines, batch, classifier, context, error, evaluate, features, filtering,
-    graph_builder, jaro_winkler, mention, pipeline, resolution, tagger, training, Alignment,
-    BatchConfig, BatchReport, Briq, BriqConfig, BriqError, Budget, DegradedAction, Diagnostic,
-    Diagnostics, DocReport, FeatureMask, GoldAlignment, Stage, StageTimings, WorkerStats,
+    baselines, batch, classifier, context, error, evaluate, features, filtering, graph_builder,
+    jaro_winkler, mention, pipeline, resolution, tagger, training, AlignOptions, AlignOutput,
+    Alignment, BatchConfig, BatchReport, Briq, BriqConfig, BriqError, Budget, DegradedAction,
+    Diagnostic, Diagnostics, DocReport, FeatureMask, GoldAlignment, Stage, StageTimings,
+    WorkerStats,
 };
 pub use briq_table::{
     html, segment, stats, virtual_cells, CellRef, Document, Orientation, Table, TableMention,

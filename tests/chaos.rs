@@ -1,5 +1,5 @@
 //! Fault-injection chaos harness: ≥1000 adversarial documents through the
-//! budgeted `align_checked` path. The contract under test:
+//! budgeted `align_with` path. The contract under test:
 //!
 //! * zero panics, no matter how hostile the page;
 //! * every budget is respected (virtual cells per table, graph edges);
@@ -11,9 +11,19 @@
 use briq::substrates::corpus::corpus::{generate_corpus, CorpusConfig};
 use briq::substrates::corpus::perturb::{adversarial_documents, Adversary};
 use briq::{
-    align_batch, BatchConfig, Briq, BriqConfig, Budget, DegradedAction, Diagnostic, Document,
-    Stage, Table, TableMentionKind,
+    AlignOptions, Alignment, BatchConfig, Briq, BriqConfig, Budget, DegradedAction, Diagnostic,
+    Diagnostics, Document, Stage, Table, TableMentionKind,
 };
+
+/// `doc` aligned under `budget`: its alignments and diagnostics.
+fn checked(briq: &Briq, doc: &Document, budget: Budget) -> (Vec<Alignment>, Diagnostics) {
+    let opts = AlignOptions {
+        budget,
+        ..AlignOptions::default()
+    };
+    let out = briq.align_with(doc, &opts);
+    (out.alignments, out.diagnostics)
+}
 
 /// Tight enough that the hostile families actually hit the caps.
 fn chaos_budget() -> Budget {
@@ -38,7 +48,7 @@ fn thousand_adversarial_documents_never_panic_and_respect_budgets() {
     while processed < 1000 {
         for kind in Adversary::ALL {
             for doc in adversarial_documents(kind, seed) {
-                let (alignments, diags) = briq.align_checked_with(&doc, &budget);
+                let (alignments, diags) = checked(&briq, &doc, budget);
                 for a in &alignments {
                     assert!(
                         a.score.is_finite(),
@@ -101,7 +111,7 @@ fn thousand_adversarial_documents_never_panic_and_respect_budgets() {
 /// The batch engine under fire: every adversarial family, all in one
 /// parallel batch. The pool must (a) never panic, (b) keep each hostile
 /// document's degradation isolated to that document, and (c) return
-/// results bit-identical to running `align_checked_with` sequentially —
+/// results bit-identical to running `align_with` sequentially —
 /// for any worker count.
 #[test]
 fn adversarial_batch_is_deterministic_and_isolated() {
@@ -120,10 +130,7 @@ fn adversarial_batch_is_deterministic_and_isolated() {
         docs.len()
     );
 
-    let sequential: Vec<_> = docs
-        .iter()
-        .map(|d| briq.align_checked_with(d, &budget))
-        .collect();
+    let sequential: Vec<_> = docs.iter().map(|d| checked(&briq, d, budget)).collect();
 
     for jobs in [1usize, 3, 8] {
         // Tracing on: recording is observation-only, so even the
@@ -135,7 +142,7 @@ fn adversarial_batch_is_deterministic_and_isolated() {
             budget,
             trace: true,
         };
-        let report = align_batch(&briq, &docs, &cfg);
+        let report = briq.align_batch(&docs, &cfg);
         assert_eq!(report.documents.len(), docs.len());
         for (i, (dr, (alignments, diags))) in report.documents.iter().zip(&sequential).enumerate() {
             assert_eq!(dr.index, i, "jobs {jobs}: out of order");
@@ -202,7 +209,7 @@ fn degenerate_tables_are_isolated_per_table() {
             Table::from_grid("", vec![Vec::new(), Vec::new()]),
         ],
     );
-    let (alignments, diags) = briq.align_checked(&doc);
+    let (alignments, diags) = checked(&briq, &doc, Budget::default());
     let skipped: Vec<&Diagnostic> = diags
         .items
         .iter()
@@ -232,10 +239,14 @@ fn clean_documents_align_bit_identically_under_checking() {
     for ld in &corpus.documents {
         let plain = briq.align(&ld.document);
         // Default budget: generous caps that clean documents never hit.
-        let (checked, diags) = briq.align_checked(&ld.document);
-        assert_eq!(plain, checked, "doc {} diverged: {diags:?}", ld.document.id);
+        let (budgeted, diags) = checked(&briq, &ld.document, Budget::default());
+        assert_eq!(
+            plain, budgeted,
+            "doc {} diverged: {diags:?}",
+            ld.document.id
+        );
         // Unlimited budget: the exact same code path as `align`.
-        let (unlimited, _) = briq.align_checked_with(&ld.document, &Budget::unlimited());
+        let (unlimited, _) = checked(&briq, &ld.document, Budget::unlimited());
         assert_eq!(plain, unlimited, "doc {}", ld.document.id);
         compared += plain.len();
     }

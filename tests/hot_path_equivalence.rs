@@ -16,10 +16,9 @@ use briq_core::filtering::{Candidate, FilterStats};
 use briq_core::graph_builder::build_graph_budgeted;
 use briq_core::mention::Alignment;
 use briq_core::pipeline::{
-    heuristic_prior, heuristic_prior_masked, Briq, BriqConfig, ScoredDocument,
+    heuristic_prior, heuristic_prior_masked, AlignOptions, Briq, BriqConfig, ScoredDocument,
 };
 use briq_core::resolution::resolve_budgeted;
-use briq_core::store::AlignmentStore;
 use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
@@ -289,22 +288,22 @@ fn pruned_path_matches_exhaustive_filtering() {
             n_trees: 12,
             ..Default::default()
         },
-        // `align_stored_detailed` with the store off is the plain hot
-        // path under a caller-chosen budget, returning every surface.
-        use_store: false,
         ..Default::default()
     };
     let briq = Briq::train(cfg, &train, &val);
     assert!(briq.is_trained());
-    let store = AlignmentStore::for_system(&briq);
 
     let check = |doc: &Document, budget: &Budget, scope: &str| {
-        let (al, stats, cand, _) = briq.align_stored_detailed(&store, 0, doc, budget);
+        let opts = AlignOptions {
+            budget: *budget,
+            ..AlignOptions::default()
+        };
+        let out = briq.align_with(doc, &opts);
         let (al_ref, stats_ref, cand_ref) = reference_alignment(&briq, doc, budget);
-        assert_candidates_bit_equal(&cand, &cand_ref, scope);
-        assert_eq!(stats, stats_ref, "{scope}: stats");
-        assert_alignments_bit_equal(&al, &al_ref, scope);
-        briq.align_timed(doc, budget).2
+        assert_candidates_bit_equal(&out.candidates, &cand_ref, scope);
+        assert_eq!(out.stats, stats_ref, "{scope}: stats");
+        assert_alignments_bit_equal(&out.alignments, &al_ref, scope);
+        out.timings
     };
 
     let (mut pairs, mut pruned) = (0u64, 0u64);

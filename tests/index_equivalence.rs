@@ -10,7 +10,7 @@
 //! forest (the two scoring entry points have separate selected-path
 //! implementations).
 
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOptions, AlignOutput, Briq, BriqConfig};
 use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
@@ -35,27 +35,36 @@ fn without_index(briq: &Briq) -> Briq {
     oracle
 }
 
-/// Assert bit-identical `align_detailed` output across the two paths.
+/// `doc` aligned under `budget`.
+fn align_under(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
+    let opts = AlignOptions {
+        budget,
+        ..AlignOptions::default()
+    };
+    briq.align_with(doc, &opts)
+}
+
+/// Assert bit-identical `align_with` output across the two paths.
 /// Debug formatting prints f64s shortest-round-trip, so any bit drift
 /// in a score (beyond NaN payloads, which filtering's total order would
 /// surface as reordering anyway) fails the comparison.
 fn assert_identical(briq: &Briq, oracle: &Briq, doc: &Document, label: &str) {
-    let (a_idx, s_idx, c_idx) = briq.align_detailed(doc);
-    let (a_ora, s_ora, c_ora) = oracle.align_detailed(doc);
+    let idx = align_under(briq, doc, Budget::unlimited());
+    let ora = align_under(oracle, doc, Budget::unlimited());
     assert_eq!(
-        format!("{a_idx:?}"),
-        format!("{a_ora:?}"),
+        format!("{:?}", idx.alignments),
+        format!("{:?}", ora.alignments),
         "alignments diverge on {label} doc {}",
         doc.id
     );
     assert_eq!(
-        format!("{c_idx:?}"),
-        format!("{c_ora:?}"),
+        format!("{:?}", idx.candidates),
+        format!("{:?}", ora.candidates),
         "candidates diverge on {label} doc {}",
         doc.id
     );
     assert_eq!(
-        s_idx, s_ora,
+        idx.stats, ora.stats,
         "filter statistics diverge on {label} doc {}",
         doc.id
     );
@@ -85,8 +94,8 @@ fn untrained_indexed_path_matches_oracle_on_adversarial_families() {
     for kind in Adversary::ALL {
         for seed in [1u64, 2] {
             for doc in adversarial_documents(kind, seed) {
-                let (a_idx, _) = briq.align_checked_with(&doc, &budget);
-                let (a_ora, _) = oracle.align_checked_with(&doc, &budget);
+                let a_idx = align_under(&briq, &doc, budget).alignments;
+                let a_ora = align_under(&oracle, &doc, budget).alignments;
                 assert_eq!(
                     format!("{a_idx:?}"),
                     format!("{a_ora:?}"),
@@ -116,8 +125,8 @@ fn trained_indexed_path_matches_oracle() {
         Adversary::VirtualCellFanout,
     ] {
         for doc in adversarial_documents(kind, 5) {
-            let (a_idx, _) = briq.align_checked_with(&doc, &budget);
-            let (a_ora, _) = oracle.align_checked_with(&doc, &budget);
+            let a_idx = align_under(&briq, &doc, budget).alignments;
+            let a_ora = align_under(&oracle, &doc, budget).alignments;
             assert_eq!(
                 format!("{a_idx:?}"),
                 format!("{a_ora:?}"),

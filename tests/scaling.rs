@@ -1,11 +1,12 @@
-//! `briq_json::parse` must run in time linear in its input: model files
-//! are megabytes of short keys and serve requests carry long page
-//! strings. Each shape is parsed at `n` and `8n` bytes; a linear parser
-//! takes about 8× as long on the larger input, a quadratic one about
-//! 64×. The bound sits well between the two. The smaller input keeps
-//! the fastest of several runs, and the larger one gets several tries
-//! to land inside the bound, so scheduler noise cannot trip the check —
-//! while a quadratic parser fails on its first, already over-budget try.
+//! Every parser that reads outside input must run in time linear in it:
+//! `briq_json::parse` reads megabyte model files and serve request lines,
+//! and `html::parse_page` reads the page HTML those requests carry. Each
+//! shape is parsed at `n` and `8n` bytes; a linear parser takes about 8×
+//! as long on the larger input, a quadratic one about 64×. The bound
+//! sits well between the two. The smaller input keeps the fastest of
+//! several runs, and the larger one gets several tries to land inside
+//! the bound, so scheduler noise cannot trip the check — while a
+//! quadratic parser fails on its first, already over-budget try.
 
 use std::time::{Duration, Instant};
 
@@ -13,20 +14,28 @@ const N: usize = 32 * 1024;
 const RUNS: u32 = 7;
 const MAX_RATIO: f64 = 24.0;
 
-fn time_parse(input: &str) -> Duration {
+fn time_parse(parse: &impl Fn(&str), input: &str) -> Duration {
     let t = Instant::now();
-    std::hint::black_box(briq_json::parse(input).expect("scaling input parses"));
+    parse(input);
     t.elapsed()
 }
 
-fn assert_linear(shape: &str, make: impl Fn(usize) -> String) {
+fn json(input: &str) {
+    std::hint::black_box(briq_json::parse(input).expect("scaling input parses"));
+}
+
+fn html(input: &str) {
+    std::hint::black_box(briq_table::html::parse_page(input));
+}
+
+fn assert_linear(shape: &str, parse: impl Fn(&str), make: impl Fn(usize) -> String) {
     let (small, large) = (make(N), make(8 * N));
     assert!(
         small.len() >= N && large.len() >= 8 * N,
         "{shape}: inputs too small"
     );
     let t_small = (0..RUNS)
-        .map(|_| time_parse(&small))
+        .map(|_| time_parse(&parse, &small))
         .min()
         .expect("at least one run")
         .max(Duration::from_micros(1));
@@ -35,7 +44,7 @@ fn assert_linear(shape: &str, make: impl Fn(usize) -> String) {
     let budget = t_small.mul_f64(MAX_RATIO) * RUNS;
     let (mut best, mut spent) = (Duration::MAX, Duration::ZERO);
     while spent < budget && best.as_secs_f64() >= MAX_RATIO * t_small.as_secs_f64() {
-        let t = time_parse(&large);
+        let t = time_parse(&parse, &large);
         best = best.min(t);
         spent += t;
     }
@@ -55,7 +64,7 @@ fn assert_linear(shape: &str, make: impl Fn(usize) -> String) {
 fn long_string_parses_in_linear_time() {
     // Mostly ASCII with a multi-byte char and an escape now and then, as
     // in a page's HTML carried inside a request.
-    assert_linear("long string", |n| {
+    assert_linear("long string", json, |n| {
         let mut s = String::with_capacity(n + 16);
         s.push('"');
         while s.len() < n {
@@ -69,7 +78,7 @@ fn long_string_parses_in_linear_time() {
 #[test]
 fn model_shaped_object_parses_in_linear_time() {
     // Many short keys, the shape of a serialized forest.
-    assert_linear("model object", |n| {
+    assert_linear("model object", json, |n| {
         let mut s = String::from("{\"trees\":[");
         let mut i = 0usize;
         while s.len() < n {
@@ -85,6 +94,37 @@ fn model_shaped_object_parses_in_linear_time() {
             i += 1;
         }
         s.push_str("]}");
+        s
+    });
+}
+
+/// `<p>` of `n` bytes repeating `unit`.
+fn paragraph_of(unit: &str, n: usize) -> String {
+    let mut s = String::from("<p>");
+    while s.len() < n {
+        s.push_str(unit);
+    }
+    s.push_str("</p>");
+    s
+}
+
+#[test]
+fn html_bare_ampersands_parse_in_linear_time() {
+    assert_linear("bare ampersands", html, |n| paragraph_of("&", n));
+}
+
+#[test]
+fn html_ampersand_prose_parses_in_linear_time() {
+    assert_linear("ampersand prose", html, |n| paragraph_of("a & b ", n));
+}
+
+#[test]
+fn html_unterminated_comment_parses_in_linear_time() {
+    assert_linear("unterminated comment", html, |n| {
+        let mut s = String::from("<p>12 units</p><!-- ");
+        while s.len() < n {
+            s.push_str("note -- almost - > closed ");
+        }
         s
     });
 }
