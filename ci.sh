@@ -63,7 +63,11 @@
 #                byte-for-byte identical across all four — worker count,
 #                tracing, AND the retrieval index must be unobservable
 #                in the output. The traced run's trace file must also be
-#                non-empty valid-ish JSON.
+#                non-empty valid-ish JSON. Then the same four runs and
+#                three comparisons again with the trained demo model
+#                (briq-align --train-demo, then --model), so the pair
+#                forest and its exact pruning are held to the same
+#                contract.
 #   store        incremental-vs-oracle equivalence of the versioned
 #                alignment store (DESIGN.md §15). Two checks on a seeded
 #                corpus: (a) unchanged corpus — briq-align --repeat 2
@@ -295,6 +299,33 @@ stage_determinism() {
     rc_ni=$?
     same_run determinism 1 ni "$rc1" "$rc_ni" "$dir" "with --no-index" || return 1
     echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, and --no-index byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments)"
+
+    # The same three comparisons with the trained demo model, so the
+    # pair forest and its exact pruning run under every one of them.
+    local rc_m1 rc_mn rc_mtr rc_mni
+    ./target/release/briq-align --train-demo "$dir/model.json" > /dev/null || return 1
+    ./target/release/briq-align --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
+        --json --diagnostics "$dir/diag_m1.jsonl" > "$dir/out_m1.json"
+    rc_m1=$?
+    if [ "$rc_m1" -ne 0 ] && [ "$rc_m1" -ne 2 ]; then
+        echo "determinism: --model --jobs 1 run failed (exit $rc_m1)" >&2
+        return 1
+    fi
+    ./target/release/briq-align --batch "$dir/corpus" --model "$dir/model.json" \
+        --jobs "$jobs_hi" --json --diagnostics "$dir/diag_mn.jsonl" > "$dir/out_mn.json"
+    rc_mn=$?
+    same_run determinism m1 mn "$rc_m1" "$rc_mn" "$dir" "with --model --jobs $jobs_hi" || return 1
+    ./target/release/briq-align --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
+        --json --diagnostics "$dir/diag_mtr.jsonl" \
+        --trace "$dir/trace_m.json" --metrics "$dir/metrics_m.jsonl" \
+        > "$dir/out_mtr.json" 2> /dev/null
+    rc_mtr=$?
+    same_run determinism m1 mtr "$rc_m1" "$rc_mtr" "$dir" "with --model --trace/--metrics on" || return 1
+    ./target/release/briq-align --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
+        --json --no-index --diagnostics "$dir/diag_mni.jsonl" > "$dir/out_mni.json"
+    rc_mni=$?
+    same_run determinism m1 mni "$rc_m1" "$rc_mni" "$dir" "with --model --no-index" || return 1
+    echo "determinism: with --model, --jobs 1, --jobs $jobs_hi, --trace/--metrics, and --no-index byte-identical ($(wc -c < "$dir/out_m1.json") bytes of alignments)"
 }
 
 stage_store() {

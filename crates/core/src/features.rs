@@ -166,9 +166,9 @@ struct MentionInvariants {
     aggregation: Option<AggregationKind>,
 }
 
-/// Per-target invariants, computed once per target instead of once per
-/// pair: the surface form and the row/column context unions dominate the
-/// naive per-pair cost.
+/// Per-target invariants, computed the first time a pair touches the
+/// target instead of once per pair: the surface form and the row/column
+/// context unions dominate the naive per-pair cost.
 #[derive(Debug, Clone)]
 struct TargetInvariants {
     /// Lowercased canonical surface as chars (f1 operand).
@@ -190,10 +190,65 @@ struct TargetInvariants {
     scale: i32,
     precision: u8,
     aggregation: Option<AggregationKind>,
-    /// Global word overlap — constant per (document, table) pair (f3).
-    f3: f64,
-    /// Global phrase overlap — constant per (document, table) pair (f5).
-    f5: f64,
+}
+
+impl TargetInvariants {
+    /// Build `t`'s invariants against its table's index. Union sizes
+    /// are counted with the table's own epoch-stamped `seen` arrays, so
+    /// the values do not depend on which targets were built before.
+    fn build(
+        t: &TableMention,
+        idx: &mut TableIndex<'_>,
+        member_bits: &mut Vec<u64>,
+        cap_words: usize,
+        cap_phrases: usize,
+    ) -> TargetInvariants {
+        let bits_off = member_bits.len();
+        member_bits.resize(bits_off + idx.row_blocks + idx.col_blocks, 0);
+        for &(r, c) in &t.cells {
+            // Same bounds-check-skip semantics as the
+            // `row_words.get(r)` lookups in `local_words`.
+            if r < idx.n_rows {
+                member_bits[bits_off + r / 64] |= 1 << (r % 64);
+            }
+            if c < idx.n_cols {
+                member_bits[bits_off + idx.row_blocks + c / 64] |= 1 << (c % 64);
+            }
+        }
+        idx.epoch += 1;
+        let (mrows, mcols) = member_bits[bits_off..].split_at(idx.row_blocks);
+        let union_words = count_union_capped(
+            mrows,
+            mcols,
+            &idx.row_word_ids,
+            &idx.col_word_ids,
+            &mut idx.seen_words,
+            idx.epoch,
+            cap_words,
+        );
+        let union_phrases = count_union_capped(
+            mrows,
+            mcols,
+            &idx.row_phrase_ids,
+            &idx.col_phrase_ids,
+            &mut idx.seen_phrases,
+            idx.epoch,
+            cap_phrases,
+        );
+        TargetInvariants {
+            surface_chars: table_surface(t).to_lowercase().chars().collect(),
+            table: t.table,
+            bits_off,
+            union_words: union_words as f64,
+            union_phrases: union_phrases as u32,
+            value: t.value,
+            unnormalized: t.unnormalized,
+            unit: t.unit,
+            scale: t.scale(),
+            precision: t.precision,
+            aggregation: t.aggregation(),
+        }
+    }
 }
 
 /// Interned per-table context: every stemmed word and noun phrase of the
@@ -221,10 +276,21 @@ struct TableIndex<'c> {
     phrase_col_bits: Vec<u64>,
     row_phrase_ids: Vec<Vec<u32>>,
     col_phrase_ids: Vec<Vec<u32>>,
+    /// Global word overlap with the paragraph — the same for every
+    /// target of the table (f3).
+    f3: f64,
+    /// Global phrase overlap with the paragraph (f5).
+    f5: f64,
+    /// Per word id: the `epoch` of the last union count that saw it.
+    seen_words: Vec<u32>,
+    /// Per phrase id: the `epoch` of the last union count that saw it.
+    seen_phrases: Vec<u32>,
+    /// Bumped once per target built, so `seen_*` never need clearing.
+    epoch: u32,
 }
 
 impl<'c> TableIndex<'c> {
-    fn build(tctx: &'c TableContext) -> TableIndex<'c> {
+    fn build(ctx: &DocContext, tctx: &'c TableContext) -> TableIndex<'c> {
         let n_rows = tctx.row_words.len();
         let n_cols = tctx.col_words.len();
         let row_blocks = n_rows.div_ceil(64);
@@ -238,6 +304,11 @@ impl<'c> TableIndex<'c> {
             n_cols,
             row_blocks,
             col_blocks,
+            f3: overlap(&ctx.paragraph_words, &tctx.table_words),
+            f5: overlap(&ctx.paragraph_phrases, &tctx.table_phrases),
+            seen_words: vec![0; word_ids.len()],
+            seen_phrases: vec![0; phrase_ids.len()],
+            epoch: 0,
             word_ids,
             word_row_bits,
             word_col_bits,
@@ -376,8 +447,9 @@ struct MentionTableHits {
     phrases: Vec<u32>,
 }
 
-/// Allocation-free pair featurizer: precomputes every per-mention and
-/// per-target invariant once, then fills caller-provided rows.
+/// Allocation-free pair featurizer: precomputes every per-mention
+/// invariant once and each per-target invariant the first time a row
+/// needs it, then fills caller-provided rows.
 ///
 /// [`PairFeaturizer::fill`] is bit-identical to [`feature_vector`] — same
 /// expressions, same evaluation order — but performs no heap allocation
@@ -389,25 +461,32 @@ struct MentionTableHits {
 /// materialized at all. The f2/f4 denominators only ever need a union
 /// size up to the largest mention-side mass, so union cardinalities are
 /// counted with a cap (the private `TargetInvariants::union_words`),
-/// which keeps per-target setup O(cap) instead of O(union).
+/// which keeps per-target setup O(cap) instead of O(union). Targets that
+/// retrieval never selects are never set up.
 pub struct PairFeaturizer<'c> {
     ctx: &'c DocContext,
     mentions: Vec<MentionInvariants>,
-    targets: Vec<TargetInvariants>,
+    target_mentions: &'c [TableMention],
+    /// Per target: its invariants, once a row has needed them.
+    targets: Vec<Option<TargetInvariants>>,
     tables: Vec<TableIndex<'c>>,
     /// `mention_tables[mi * tables.len() + table]`.
     mention_tables: Vec<MentionTableHits>,
     /// Member-row/member-col bitmask arena, indexed by
     /// [`TargetInvariants::bits_off`].
     member_bits: Vec<u64>,
+    /// Union-size caps (see [`TargetInvariants::build`]).
+    cap_words: usize,
+    cap_phrases: usize,
     jaro: JaroScratch,
 }
 
 impl<'c> PairFeaturizer<'c> {
-    /// Precompute invariants for every mention and target of a document.
+    /// Precompute invariants for every mention of a document; target
+    /// invariants are built on first use.
     pub fn new(
         mentions: &[TextMention],
-        targets: &[TableMention],
+        targets: &'c [TableMention],
         ctx: &'c DocContext,
     ) -> PairFeaturizer<'c> {
         let mention_inv: Vec<MentionInvariants> = mentions
@@ -429,19 +508,11 @@ impl<'c> PairFeaturizer<'c> {
             })
             .collect();
 
-        // f3/f5 depend only on the table, not the target within it.
-        let per_table: Vec<(f64, f64)> = ctx
+        let tables: Vec<TableIndex<'c>> = ctx
             .tables
             .iter()
-            .map(|tctx| {
-                (
-                    overlap(&ctx.paragraph_words, &tctx.table_words),
-                    overlap(&ctx.paragraph_phrases, &tctx.table_phrases),
-                )
-            })
+            .map(|tctx| TableIndex::build(ctx, tctx))
             .collect();
-
-        let tables: Vec<TableIndex<'c>> = ctx.tables.iter().map(TableIndex::build).collect();
 
         // Union-size caps: f2 needs `min(text_mass, |union|)` and f4 needs
         // `min(|sentence phrases|, |union|)`, so counting a union past the
@@ -474,74 +545,16 @@ impl<'c> PairFeaturizer<'c> {
             }
         }
 
-        let mut member_bits: Vec<u64> = Vec::new();
-        let mut seen_words: Vec<Vec<u32>> =
-            tables.iter().map(|i| vec![0; i.word_ids.len()]).collect();
-        let mut seen_phrases: Vec<Vec<u32>> =
-            tables.iter().map(|i| vec![0; i.phrase_ids.len()]).collect();
-        let mut epochs = vec![0u32; tables.len()];
-        let target_inv = targets
-            .iter()
-            .map(|t| {
-                let idx = &tables[t.table];
-                let (f3, f5) = per_table[t.table];
-                let bits_off = member_bits.len();
-                member_bits.resize(bits_off + idx.row_blocks + idx.col_blocks, 0);
-                for &(r, c) in &t.cells {
-                    // Same bounds-check-skip semantics as the
-                    // `row_words.get(r)` lookups in `local_words`.
-                    if r < idx.n_rows {
-                        member_bits[bits_off + r / 64] |= 1 << (r % 64);
-                    }
-                    if c < idx.n_cols {
-                        member_bits[bits_off + idx.row_blocks + c / 64] |= 1 << (c % 64);
-                    }
-                }
-                epochs[t.table] += 1;
-                let (mrows, mcols) = member_bits[bits_off..].split_at(idx.row_blocks);
-                let union_words = count_union_capped(
-                    mrows,
-                    mcols,
-                    &idx.row_word_ids,
-                    &idx.col_word_ids,
-                    &mut seen_words[t.table],
-                    epochs[t.table],
-                    cap_words,
-                );
-                let union_phrases = count_union_capped(
-                    mrows,
-                    mcols,
-                    &idx.row_phrase_ids,
-                    &idx.col_phrase_ids,
-                    &mut seen_phrases[t.table],
-                    epochs[t.table],
-                    cap_phrases,
-                );
-                TargetInvariants {
-                    surface_chars: table_surface(t).to_lowercase().chars().collect(),
-                    table: t.table,
-                    bits_off,
-                    union_words: union_words as f64,
-                    union_phrases: union_phrases as u32,
-                    value: t.value,
-                    unnormalized: t.unnormalized,
-                    unit: t.unit,
-                    scale: t.scale(),
-                    precision: t.precision,
-                    aggregation: t.aggregation(),
-                    f3,
-                    f5,
-                }
-            })
-            .collect();
-
         PairFeaturizer {
             ctx,
             mentions: mention_inv,
-            targets: target_inv,
+            target_mentions: targets,
+            targets: vec![None; targets.len()],
             tables,
             mention_tables,
-            member_bits,
+            member_bits: Vec::new(),
+            cap_words,
+            cap_phrases,
             jaro: JaroScratch::new(),
         }
     }
@@ -591,7 +604,16 @@ impl<'c> PairFeaturizer<'c> {
     fn fill_row(&mut self, mi: usize, ti: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), FEATURE_COUNT);
         let m = &self.mentions[mi];
-        let t = &self.targets[ti];
+        let t = &*self.targets[ti].get_or_insert_with(|| {
+            let t = &self.target_mentions[ti];
+            TargetInvariants::build(
+                t,
+                &mut self.tables[t.table],
+                &mut self.member_bits,
+                self.cap_words,
+                self.cap_phrases,
+            )
+        });
         let mctx = &self.ctx.mentions[mi];
         let idx = &self.tables[t.table];
         let hits = &self.mention_tables[mi * self.tables.len() + t.table];
@@ -628,7 +650,7 @@ impl<'c> PairFeaturizer<'c> {
                 (inter / denom).min(1.0)
             }
         };
-        out[2] = t.f3;
+        out[2] = idx.f3;
         out[3] = {
             // `overlap` between sentence phrases and the member union.
             let a_len = mctx.sentence_phrases.len();
@@ -654,7 +676,7 @@ impl<'c> PairFeaturizer<'c> {
                 inter as f64 / a_len.min(b_len) as f64
             }
         };
-        out[4] = t.f5;
+        out[4] = idx.f5;
         out[5] = relative_difference(m.value, t.value);
         out[6] = relative_difference(m.unnormalized, t.unnormalized);
         out[7] = unit_match(m.unit, t.unit).encode();

@@ -527,7 +527,7 @@ impl Briq {
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> Result<(Vec<Vec<Candidate>>, FilterStats), CancelCause> {
-        let mut pass = ClassifyPass::new(self, doc, mentions, ctx, targets, timings);
+        let mut pass = ClassifyPass::new(self, doc, mentions, ctx, targets, timings, rec);
         let mut stats = FilterStats::default();
         let mut candidates = Vec::with_capacity(mentions.len());
         for mi in 0..mentions.len() {
@@ -803,9 +803,10 @@ pub(crate) struct ClassifyPass<'a> {
 }
 
 impl<'a> ClassifyPass<'a> {
-    /// Build the per-document machinery. The retrieval-index build is
-    /// charged to the classify stage so throughput artifacts and the
-    /// perf-trend gate see its cost, as before.
+    /// Build the per-document machinery. All of it — featurizer, arena
+    /// takes and retrieval-index build — is charged to the classify stage
+    /// and runs inside a `classify` span, so throughput artifacts, the
+    /// perf-trend gate and traces see its cost.
     pub(crate) fn new(
         briq: &'a Briq,
         doc: &'a Document,
@@ -813,7 +814,10 @@ impl<'a> ClassifyPass<'a> {
         ctx: &'a DocContext,
         targets: &'a [TableMention],
         timings: &mut StageTimings,
+        rec: &Recorder,
     ) -> ClassifyPass<'a> {
+        let t0 = Instant::now();
+        let _g = span!(rec, names::SPAN_CLASSIFY);
         let featurizer = PairFeaturizer::new(mentions, targets, ctx);
         // Pooled per-worker scratch (DESIGN.md §14): reset engine and
         // retrieval buffers from this thread's arena instead of cold
@@ -824,15 +828,12 @@ impl<'a> ClassifyPass<'a> {
         // postings, so the hot path must not pay for them); retrieval
         // per mention is then allocation-free and bounded by the viable
         // candidate set.
-        let t_build = Instant::now();
         let index = briq
             .cfg
             .use_index
             .then(|| CandidateIndex::build(targets, briq.cfg.filter.value_diff_threshold));
-        if index.is_some() {
-            timings.classify_s += t_build.elapsed().as_secs_f64();
-        }
         let scratch = crate::arena::take_retrieval_scratch();
+        timings.classify_s += t0.elapsed().as_secs_f64();
         ClassifyPass {
             briq,
             doc,

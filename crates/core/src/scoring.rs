@@ -178,6 +178,8 @@ pub struct ScoringEngine {
     out: Vec<f64>,
     /// Per-row pruned flags from the bounded kernel.
     pruned_flags: Vec<bool>,
+    /// The bounded kernel's live-row scratch list.
+    live: Vec<u32>,
     /// Exactly scored `(target index, score)` pairs of the current
     /// mention, in no particular order (filtering sorts under a total
     /// order, so ordering cannot leak into results).
@@ -218,6 +220,7 @@ impl ScoringEngine {
             cuts: Vec::new(),
             out: Vec::new(),
             pruned_flags: Vec::new(),
+            live: Vec::new(),
             computed: Vec::new(),
             viable_flags: Vec::new(),
             pruned: Vec::new(),
@@ -244,6 +247,7 @@ impl ScoringEngine {
         self.cuts.clear();
         self.out.clear();
         self.pruned_flags.clear();
+        self.live.clear();
         self.computed.clear();
         self.viable_flags.clear();
         self.pruned.clear();
@@ -273,6 +277,7 @@ impl ScoringEngine {
                 + self.deferred.capacity()
                 + self.sel.capacity())
                 * size_of::<usize>()
+            + self.live.capacity() * size_of::<u32>()
             + self.computed.capacity() * size_of::<(usize, f64)>()
             + self.pruned_flags.capacity()
             + self.viable_flags.capacity()
@@ -629,6 +634,7 @@ impl ScoringEngine {
             &self.cuts,
             &mut self.out,
             &mut self.pruned_flags,
+            &mut self.live,
         );
         for (i, &ti) in self.block_tis.iter().enumerate() {
             if self.pruned_flags[i] {

@@ -842,7 +842,7 @@ impl AlignmentStore {
                 }
                 _ => {
                     let pass = pass.get_or_insert_with(|| {
-                        ClassifyPass::new(briq, doc, &mentions, &ctx, &targets, &mut timings)
+                        ClassifyPass::new(briq, doc, &mentions, &ctx, &targets, &mut timings, rec)
                     });
                     let (cands, delta) = pass.run_mention(mi, &mut timings, rec);
                     realigned += 1;

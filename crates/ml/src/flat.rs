@@ -1,35 +1,40 @@
-//! Flattened structure-of-arrays forest layout for allocation-free scoring.
+//! Vote-compiled, packed forest layout for allocation-free scoring.
 //!
 //! [`crate::tree::DecisionTree`] stores an enum-per-node `Vec`, which is
 //! the right shape for growing but costs a discriminant branch and a
 //! scattered load per hop when scoring. [`FlatForest`] re-lays every tree
-//! of a [`RandomForest`] into four parallel arrays — feature index
-//! (`u16`, with [`LEAF`] as the sentinel), threshold (doubling as the
-//! leaf probability on leaf nodes), and left/right child offsets
-//! (`u32`) — so a traversal is a tight loop over index arithmetic with
-//! no enum matching and no per-call allocation.
+//! of a [`RandomForest`] into one `Vec` of 16-byte nodes — threshold,
+//! right-child offset, feature index (with [`LEAF`] as the sentinel) and
+//! leaf vote — written in pre-order, so a split's left child is always
+//! the next node and a traversal is a tight loop over one array with no
+//! enum matching and no per-call allocation.
+//!
+//! Scores only count votes (`leaf probability >= 0.5`), so each leaf is
+//! *compiled* to its vote at flatten time, and every split whose two
+//! children compile to the same vote collapses into that leaf. A tree
+//! that can never vote "related" becomes a single "no" leaf, which is
+//! what the bounded kernel's remaining-vote bound counts.
 //!
 //! The flattening can also *bake in* a feature mask: a split on a dropped
 //! feature is resolved at build time by splicing in whichever child the
 //! zeroed feature value would select (`0.0 <= threshold` goes left). This
 //! is bit-identical to zeroing the masked columns of the input row before
-//! a recursive traversal, for any forest, which is exactly what
-//! `FeatureMask::apply` used to do per call on an owned copy.
+//! a recursive traversal, for any forest.
 //!
 //! Three scoring entry points share the layout:
 //!
 //! * [`FlatForest::predict_proba_slice`] — one row, trees in index
 //!   order;
 //! * [`FlatForest::score_block`] — a whole row block with the **tree
-//!   loop outermost**, so each tree's arrays stay hot across the block;
+//!   loop outermost**, so each tree's nodes stay hot across the block;
 //!   summation order per row matches `predict_proba_slice` exactly, so
 //!   block scores are bit-identical to row-at-a-time scores;
 //! * [`FlatForest::score_block_bounded`] — `score_block` plus exact
-//!   early abandonment: per-subtree `max_leaf` bounds and per-tree
-//!   `suffix_possible` vote bounds let a row stop as soon as its final
-//!   score *provably* falls below a caller-supplied cut. Rows at or
-//!   above the cut come out bit-identical; rows below it are reported
-//!   as pruned, never mis-scored.
+//!   early abandonment: per-tree `suffix_possible` vote bounds let a row
+//!   stop as soon as its final score *provably* falls below a
+//!   caller-supplied cut. Trees stay the outer loop over a compacting
+//!   list of live rows. Rows at or above the cut come out bit-identical;
+//!   rows below it are reported as pruned, never mis-scored.
 //!
 //! `briq_core`'s scoring engine drives the block kernels on the
 //! alignment hot path and reports their effect through the
@@ -37,31 +42,52 @@
 //! `rows_scored_exhaustive` / `rows_scored_bounded` (DESIGN.md §11).
 
 use crate::forest::RandomForest;
-use crate::tree::{DecisionTree, Node};
+use crate::tree::Node;
 
 /// Sentinel feature index marking a leaf node.
 pub const LEAF: u16 = u16::MAX;
 
-/// A [`RandomForest`] flattened into parallel arrays for scoring.
+/// One packed node. On a split, rows with `x[feature] <= threshold` go
+/// to the next node and the rest to `right`; on a leaf (`feature ==
+/// LEAF`) only `vote` is meaningful.
+#[derive(Debug, Clone, Copy)]
+struct FlatNode {
+    threshold: f64,
+    right: u32,
+    feature: u16,
+    vote: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<FlatNode>() == 16);
+
+impl FlatNode {
+    fn leaf(vote: bool) -> FlatNode {
+        FlatNode {
+            threshold: 0.0,
+            right: 0,
+            feature: LEAF,
+            vote,
+        }
+    }
+
+    fn is_leaf(&self) -> bool {
+        self.feature == LEAF
+    }
+}
+
+/// A [`RandomForest`] compiled to votes and packed for scoring.
 ///
-/// Invariants: `feature`, `threshold`, `left`, and `right` all have the
-/// same length; every entry of `roots` and every child offset of a
-/// non-leaf node is a valid index into them; leaf nodes carry their
-/// probability in `threshold`.
+/// Invariants: every entry of `roots` and every `right` offset of a
+/// split is a valid index into `nodes`; a split's left child is the node
+/// right after it; no split has two leaf children with the same vote.
 #[derive(Debug, Clone, Default)]
 pub struct FlatForest {
-    feature: Vec<u16>,
-    threshold: Vec<f64>,
-    left: Vec<u32>,
-    right: Vec<u32>,
+    nodes: Vec<FlatNode>,
     roots: Vec<u32>,
-    /// Per node: the maximum leaf probability reachable in its subtree,
-    /// computed at flatten time. A subtree with `max_leaf < 0.5` can never
-    /// produce a "related" vote, so traversal may stop at its root.
-    max_leaf: Vec<f64>,
     /// `suffix_possible[t]` = number of trees in `t..n_trees` whose root
-    /// `max_leaf >= 0.5`, i.e. an upper bound on the votes the remaining
-    /// trees can still contribute. Length `n_trees + 1` (last entry 0).
+    /// is not a "no" leaf, i.e. an upper bound on the votes the
+    /// remaining trees can still contribute. Length `n_trees + 1` (last
+    /// entry 0).
     suffix_possible: Vec<u32>,
 }
 
@@ -77,47 +103,27 @@ impl FlatForest {
     pub fn from_forest_masked(forest: &RandomForest, keep: impl Fn(usize) -> bool) -> FlatForest {
         let mut flat = FlatForest::default();
         for tree in forest.trees() {
-            flat.push_tree(tree, &keep);
+            debug_assert!(!tree.nodes().is_empty(), "a grown tree always has a root");
+            let root = flat.emit(tree.nodes(), 0, &keep);
+            flat.roots.push(root);
+        }
+        flat.suffix_possible = vec![0; flat.roots.len() + 1];
+        for t in (0..flat.roots.len()).rev() {
+            let root = flat.nodes[flat.roots[t] as usize];
+            let possible = (!root.is_leaf() || root.vote) as u32;
+            flat.suffix_possible[t] = flat.suffix_possible[t + 1] + possible;
         }
         flat
     }
 
-    /// Flatten a single tree (one root), keeping every feature.
-    pub fn from_tree(tree: &DecisionTree) -> FlatForest {
-        let mut flat = FlatForest::default();
-        flat.push_tree(tree, &|_| true);
-        flat
-    }
-
-    fn push_tree(&mut self, tree: &DecisionTree, keep: &impl Fn(usize) -> bool) {
-        let nodes = tree.nodes();
-        debug_assert!(!nodes.is_empty(), "a grown tree always has a root");
-        let root = self.emit(nodes, 0, keep);
-        self.roots.push(root);
-        self.rebuild_suffix_bounds();
-    }
-
-    /// Recompute `suffix_possible` from the per-root `max_leaf` bounds.
-    fn rebuild_suffix_bounds(&mut self) {
-        self.suffix_possible.clear();
-        self.suffix_possible.resize(self.roots.len() + 1, 0);
-        for t in (0..self.roots.len()).rev() {
-            let possible = (self.max_leaf[self.roots[t] as usize] >= 0.5) as u32;
-            self.suffix_possible[t] = self.suffix_possible[t + 1] + possible;
-        }
-    }
-
-    /// Emit the subtree rooted at `id` into the flat arrays; returns its
-    /// flat offset. Recursion depth is bounded by the tree-growing
-    /// `max_depth`, which is small by construction.
+    /// Emit the subtree rooted at `id` in pre-order, compiled to votes;
+    /// returns its flat offset. Recursion depth is bounded by the
+    /// tree-growing `max_depth`, which is small by construction.
     fn emit(&mut self, nodes: &[Node], id: usize, keep: &impl Fn(usize) -> bool) -> u32 {
+        let at = self.nodes.len();
+        assert!(at < u32::MAX as usize, "forest exceeds the u32 layout");
         match &nodes[id] {
-            Node::Leaf { prob } => {
-                let at = self.push_node(LEAF, *prob);
-                self.left[at as usize] = at;
-                self.right[at as usize] = at;
-                at
-            }
+            Node::Leaf { prob } => self.nodes.push(FlatNode::leaf(*prob >= 0.5)),
             Node::Split {
                 feature,
                 threshold,
@@ -133,46 +139,31 @@ impl FlatForest {
                     *feature < LEAF as usize,
                     "feature index {feature} exceeds the u16 layout"
                 );
-                let at = self.push_node(*feature as u16, *threshold);
-                let l = self.emit(nodes, *left, keep);
+                self.nodes.push(FlatNode {
+                    threshold: *threshold,
+                    right: 0,
+                    feature: *feature as u16,
+                    vote: false,
+                });
+                let l = self.emit(nodes, *left, keep) as usize;
                 let r = self.emit(nodes, *right, keep);
-                self.left[at as usize] = l;
-                self.right[at as usize] = r;
-                self.max_leaf[at as usize] =
-                    self.max_leaf[l as usize].max(self.max_leaf[r as usize]);
-                at
+                let (ln, rn) = (self.nodes[l], self.nodes[r as usize]);
+                if ln.is_leaf() && rn.is_leaf() && ln.vote == rn.vote {
+                    // Both branches vote alike: the split cannot matter.
+                    self.nodes.truncate(at);
+                    self.nodes.push(FlatNode::leaf(ln.vote));
+                } else {
+                    self.nodes[at].right = r;
+                }
             }
         }
-    }
-
-    fn push_node(&mut self, feature: u16, threshold: f64) -> u32 {
-        let at = self.feature.len();
-        assert!(at < u32::MAX as usize, "forest exceeds the u32 layout");
-        self.feature.push(feature);
-        self.threshold.push(threshold);
-        self.left.push(0);
-        self.right.push(0);
-        // Leaves carry their probability; splits are patched after both
-        // children have been emitted.
-        self.max_leaf
-            .push(if feature == LEAF { threshold } else { 0.0 });
         at as u32
     }
 
-    /// Leaf probability tree `tree` assigns to `x`. No allocation.
-    pub fn tree_leaf(&self, tree: usize, x: &[f64]) -> f64 {
-        let mut at = self.roots[tree] as usize;
-        loop {
-            let f = self.feature[at];
-            if f == LEAF {
-                return self.threshold[at];
-            }
-            at = if x[f as usize] <= self.threshold[at] {
-                self.left[at] as usize
-            } else {
-                self.right[at] as usize
-            };
-        }
+    /// Whether tree `tree` votes "related" for `x` — exactly
+    /// `DecisionTree::predict` on the (mask-zeroed) row. No allocation.
+    pub fn tree_vote(&self, tree: usize, x: &[f64]) -> bool {
+        self.vote_from(self.roots[tree] as usize, x)
     }
 
     /// Fraction of trees voting "related" — identical arithmetic to
@@ -182,12 +173,9 @@ impl FlatForest {
         if self.roots.is_empty() {
             return 0.5;
         }
-        let mut votes = 0usize;
-        for t in 0..self.roots.len() {
-            if self.tree_leaf(t, x) >= 0.5 {
-                votes += 1;
-            }
-        }
+        let votes = (0..self.roots.len())
+            .filter(|&t| self.tree_vote(t, x))
+            .count();
         votes as f64 / self.roots.len() as f64
     }
 
@@ -196,23 +184,18 @@ impl FlatForest {
         self.predict_proba_slice(x) >= 0.5
     }
 
-    /// Whether `tree` (rooted at flat offset `at`) votes "related" for
-    /// `x`. Equivalent to `tree_leaf(..) >= 0.5`, but abandons any
-    /// subtree whose `max_leaf` bound already rules the vote out.
+    /// The vote of the compiled subtree at flat offset `at` for `x`.
     #[inline]
     fn vote_from(&self, mut at: usize, x: &[f64]) -> bool {
         loop {
-            if self.max_leaf[at] < 0.5 {
-                return false;
+            let node = self.nodes[at];
+            if node.is_leaf() {
+                return node.vote;
             }
-            let f = self.feature[at];
-            if f == LEAF {
-                return self.threshold[at] >= 0.5;
-            }
-            at = if x[f as usize] <= self.threshold[at] {
-                self.left[at] as usize
+            at = if x[node.feature as usize] <= node.threshold {
+                at + 1
             } else {
-                self.right[at] as usize
+                node.right as usize
             };
         }
     }
@@ -248,10 +231,16 @@ impl FlatForest {
     /// abandoned (`pruned[i] = true`, `out[i]` unspecified) as soon as
     /// `(votes_so_far + suffix_possible) / n_trees` falls strictly below
     /// `cuts[i]`, which proves the exact score would also be `< cuts[i]`.
-    /// Rows that survive receive their exact score, bit-identical to
-    /// [`FlatForest::predict_proba_slice`]. Returns the number of rows
+    /// The bound is checked for every row before every tree, in tree
+    /// order. Rows that survive receive their exact score, bit-identical
+    /// to [`FlatForest::predict_proba_slice`]. Returns the number of rows
     /// pruned. A cut of `f64::NEG_INFINITY` disables pruning for a row;
     /// `f64::INFINITY` prunes it before any tree is evaluated.
+    ///
+    /// Trees form the outer loop over `live`, the caller's scratch list
+    /// of not-yet-pruned rows, which is compacted after every tree; votes
+    /// accumulate in `out`. Nothing is allocated once `live` has grown to
+    /// the block size.
     pub fn score_block_bounded(
         &self,
         rows: &[f64],
@@ -259,41 +248,51 @@ impl FlatForest {
         cuts: &[f64],
         out: &mut [f64],
         pruned: &mut [bool],
+        live: &mut Vec<u32>,
     ) -> usize {
         assert!(stride > 0, "stride must be positive");
         assert_eq!(rows.len(), out.len() * stride, "rows/out shape mismatch");
         assert_eq!(cuts.len(), out.len(), "cuts/out shape mismatch");
         assert_eq!(pruned.len(), out.len(), "pruned/out shape mismatch");
+        assert!(
+            out.len() <= u32::MAX as usize,
+            "block exceeds the u32 row index"
+        );
+        pruned.fill(false);
         if self.roots.is_empty() {
             out.fill(0.5);
-            pruned.fill(false);
             return 0;
         }
+        out.fill(0.0);
+        live.clear();
+        live.extend(0..out.len() as u32);
         let n_trees = self.roots.len() as f64;
-        let mut n_pruned = 0usize;
-        let rows_iter = rows.chunks_exact(stride).zip(cuts.iter());
-        for ((row, &cut), (o, p)) in rows_iter.zip(out.iter_mut().zip(pruned.iter_mut())) {
-            let mut votes = 0u32;
-            let mut cut_hit = false;
-            for (&root, &possible) in self.roots.iter().zip(self.suffix_possible.iter()) {
+        for (&root, &possible) in self.roots.iter().zip(&self.suffix_possible) {
+            let possible = possible as f64;
+            let mut kept = 0;
+            for k in 0..live.len() {
+                let r = live[k] as usize;
                 // Upper bound on the final score before evaluating this
                 // tree: every not-yet-scored tree that *can* vote does.
-                if ((votes + possible) as f64) / n_trees < cut {
-                    cut_hit = true;
-                    break;
+                if (out[r] + possible) / n_trees < cuts[r] {
+                    pruned[r] = true;
+                    continue;
                 }
-                if self.vote_from(root as usize, row) {
-                    votes += 1;
+                if self.vote_from(root as usize, &rows[r * stride..(r + 1) * stride]) {
+                    out[r] += 1.0;
                 }
+                live[kept] = r as u32;
+                kept += 1;
             }
-            *p = cut_hit;
-            if cut_hit {
-                n_pruned += 1;
-            } else {
-                *o = votes as f64 / n_trees;
+            live.truncate(kept);
+            if live.is_empty() {
+                break;
             }
         }
-        n_pruned
+        for &r in live.iter() {
+            out[r as usize] /= n_trees;
+        }
+        out.len() - live.len()
     }
 
     /// Number of flattened trees.
@@ -303,7 +302,7 @@ impl FlatForest {
 
     /// Total node count across all trees (diagnostics).
     pub fn n_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 }
 
@@ -312,7 +311,6 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::forest::RandomForestConfig;
-    use crate::tree::TreeConfig;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -378,19 +376,42 @@ mod tests {
     }
 
     #[test]
-    fn single_tree_leaf_matches_recursive() {
-        let data = noisy(200, 15);
-        let mut rng = StdRng::seed_from_u64(16);
-        let tree = DecisionTree::fit(&data, TreeConfig::default(), &mut rng);
-        let flat = FlatForest::from_tree(&tree);
-        for _ in 0..200 {
-            let x = [
-                rng.random_range(-0.2..1.2),
-                rng.random_range(-0.2..1.2),
-                rng.random_range(-0.2..1.2),
-            ];
-            assert_eq!(flat.tree_leaf(0, &x), tree.predict_proba(&x));
+    fn compilation_never_adds_nodes_and_keeps_every_tree() {
+        let data = noisy(300, 17);
+        let rf = RandomForest::fit(
+            &data,
+            RandomForestConfig {
+                n_trees: 24,
+                ..Default::default()
+            },
+        );
+        let recursive: usize = rf.trees().iter().map(|t| t.n_nodes()).sum();
+        for flat in [
+            FlatForest::from_forest(&rf),
+            FlatForest::from_forest_masked(&rf, |f| f != 0),
+        ] {
+            assert_eq!(flat.n_trees(), rf.n_trees());
+            assert!(
+                flat.n_nodes() <= recursive,
+                "{} > {recursive}",
+                flat.n_nodes()
+            );
+            // No split survives with two leaf children voting alike.
+            for (at, node) in flat.nodes.iter().enumerate() {
+                if !node.is_leaf() {
+                    let (l, r) = (flat.nodes[at + 1], flat.nodes[node.right as usize]);
+                    assert!(
+                        !(l.is_leaf() && r.is_leaf() && l.vote == r.vote),
+                        "node {at}"
+                    );
+                }
+            }
         }
+        let compiled = FlatForest::from_forest(&rf).n_nodes();
+        assert!(
+            compiled < recursive,
+            "noisy trees have same-vote sibling leaves"
+        );
     }
 
     #[test]
@@ -450,7 +471,8 @@ mod tests {
             .collect();
         let mut out = vec![f64::NAN; n_rows];
         let mut pruned = vec![false; n_rows];
-        let n_pruned = flat.score_block_bounded(&rows, 3, &cuts, &mut out, &mut pruned);
+        let mut live = Vec::new();
+        let n_pruned = flat.score_block_bounded(&rows, 3, &cuts, &mut out, &mut pruned, &mut live);
         assert_eq!(n_pruned, pruned.iter().filter(|&&p| p).count());
         assert!(n_pruned > 0, "infinite cuts must prune");
         let mut saw_survivor_above_cut = false;
@@ -482,7 +504,14 @@ mod tests {
         flat.score_block(&rows, 1, &mut out);
         assert_eq!(out, [0.5, 0.5]);
         let mut pruned = [true; 2];
-        let n = flat.score_block_bounded(&rows, 1, &[0.9, 0.1], &mut out, &mut pruned);
+        let n = flat.score_block_bounded(
+            &rows,
+            1,
+            &[0.9, 0.1],
+            &mut out,
+            &mut pruned,
+            &mut Vec::new(),
+        );
         assert_eq!(n, 0);
         assert_eq!(out, [0.5, 0.5]);
         assert_eq!(pruned, [false, false]);

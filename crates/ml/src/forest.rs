@@ -97,8 +97,8 @@ impl RandomForest {
         self.trees.len()
     }
 
-    /// The grown trees, for the flattened layout in [`crate::flat`].
-    pub(crate) fn trees(&self) -> &[DecisionTree] {
+    /// The grown trees, in voting order.
+    pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
 }

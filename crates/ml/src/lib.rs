@@ -5,7 +5,7 @@
 //! * [`tree`] / [`forest`] — CART decision trees and a class-weighted
 //!   Random Forest with calibrated vote-fraction probabilities (§IV-A; the
 //!   original system used R `caret` via rpy2),
-//! * [`flat`] — flattened structure-of-arrays forest layout for
+//! * [`flat`] — vote-compiled, packed forest layout for
 //!   allocation-free scoring on the classify hot path,
 //! * [`dataset`] — feature-matrix container with instance weights and the
 //!   class-imbalance weighting of §VII-B,

@@ -32,17 +32,24 @@ impl Default for TreeConfig {
     }
 }
 
+/// One node of a [`DecisionTree`]; children are indices into
+/// [`DecisionTree::nodes`].
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
+pub enum Node {
+    /// A terminal node.
     Leaf {
         /// Weighted fraction of positive examples in the leaf.
         prob: f64,
     },
+    /// An internal node.
     Split {
+        /// Index of the feature tested.
         feature: usize,
         /// Examples with `x[feature] <= threshold` go left.
         threshold: f64,
+        /// Index of the left child.
         left: usize,
+        /// Index of the right child.
         right: usize,
     },
 }
@@ -134,8 +141,9 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    /// Raw node storage, for the flattened layout in [`crate::flat`].
-    pub(crate) fn nodes(&self) -> &[Node] {
+    /// Raw node storage, root first: the input of the flattened layout
+    /// in [`crate::flat`] and of its test-only reference.
+    pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 }

@@ -93,6 +93,12 @@ pub fn extract_quantities(text: &str) -> Vec<QuantityMention> {
     mark_complex(&tokens, &mut excluded);
     mark_dates_times(&tokens, &mut excluded);
     mark_headings_refs_phones(&tokens, &mut excluded);
+    let words: Vec<usize> = (0..n).filter(|&k| tokens[k].is_wordlike()).collect();
+    let cx = Ctx {
+        text,
+        tokens: &tokens,
+        words: &words,
+    };
 
     let mut out = Vec::new();
     let mut i = 0;
@@ -103,7 +109,7 @@ pub fn extract_quantities(text: &str) -> Vec<QuantityMention> {
         }
         match tokens[i].kind {
             TokenKind::Number => {
-                if let Some((m, consumed)) = extract_at(text, &tokens, i) {
+                if let Some((m, consumed)) = extract_at(&cx, i) {
                     out.push(m);
                     i += consumed;
                     continue;
@@ -112,9 +118,7 @@ pub fn extract_quantities(text: &str) -> Vec<QuantityMention> {
             TokenKind::Alphanumeric => {
                 // `37K` style only — other alphanumerics are identifiers.
                 if let Some((v, mult, prec)) = parse_suffixed(&tokens[i].text) {
-                    if let Some((m, consumed)) =
-                        finish_mention(text, &tokens, i, v * mult, v, prec, i + 1)
-                    {
+                    if let Some((m, consumed)) = finish_mention(&cx, i, v * mult, v, prec, i + 1) {
                         out.push(m);
                         i += consumed;
                         continue;
@@ -226,10 +230,19 @@ fn mark_headings_refs_phones(tokens: &[Token], excluded: &mut [bool]) {
     }
 }
 
+/// The text being scanned, its tokens, and the indices of its word-like
+/// tokens in order.
+struct Ctx<'a> {
+    text: &'a str,
+    tokens: &'a [Token],
+    words: &'a [usize],
+}
+
 /// Try to extract a mention whose numeral token is at index `i`.
 /// Returns the mention and the number of tokens consumed starting at the
 /// *numeral* (prefix symbols are part of the span but were already passed).
-fn extract_at(text: &str, tokens: &[Token], i: usize) -> Option<(QuantityMention, usize)> {
+fn extract_at(cx: &Ctx<'_>, i: usize) -> Option<(QuantityMention, usize)> {
+    let tokens = cx.tokens;
     let p = parse_numeral(&tokens[i].text)?;
     // Accounting negative written as `( 9.49 )` around the token:
     let (value, neg_wrap) = if i > 0
@@ -244,21 +257,21 @@ fn extract_at(text: &str, tokens: &[Token], i: usize) -> Option<(QuantityMention
     if neg_wrap {
         j += 1; // skip ')'
     }
-    finish_mention(text, tokens, i, value, value, p.precision, j)
+    finish_mention(cx, i, value, value, p.precision, j)
 }
 
 /// Complete a mention starting at numeral index `i` with unscaled value
 /// `value`; `j` is the next unconsumed token. Applies scale words, unit
 /// words/symbols and the approximation window, then builds the span.
 fn finish_mention(
-    text: &str,
-    tokens: &[Token],
+    cx: &Ctx<'_>,
     i: usize,
     mut value: f64,
     unnormalized: f64,
     precision: u8,
     mut j: usize,
 ) -> Option<(QuantityMention, usize)> {
+    let tokens = cx.tokens;
     let mut unit = Unit::None;
     let mut span_start = tokens[i].start;
     let mut span_end = tokens[if j > i { j - 1 } else { i }].end.max(tokens[i].end);
@@ -339,21 +352,18 @@ fn finish_mention(
         break;
     }
 
-    // Approximation window: up to 10 word tokens before the span.
-    let mut window: Vec<String> = Vec::new();
-    let mut k = i;
-    while k > 0 && window.len() < 10 {
-        k -= 1;
-        if tokens[k].is_wordlike() {
-            window.push(tokens[k].lower());
-        }
-    }
-    window.reverse();
+    // Approximation window: the last (up to) 10 word tokens before the
+    // numeral, found by binary search so long runs of numbers stay linear.
+    let before = cx.words.partition_point(|&k| k < i);
+    let window: Vec<String> = cx.words[before.saturating_sub(10)..before]
+        .iter()
+        .map(|&k| tokens[k].lower())
+        .collect();
     let window_refs: Vec<&str> = window.iter().map(|s| s.as_str()).collect();
     let approx = detect_approximation(&window_refs);
 
     let m = QuantityMention {
-        raw: text[span_start..span_end].to_string(),
+        raw: cx.text[span_start..span_end].to_string(),
         value,
         unnormalized,
         unit,

@@ -2,14 +2,18 @@
 //! global allocator wraps the system allocator, and after one warm-up
 //! pass (which sizes the reused row matrix and scratch buffers) a full
 //! scoring sweep over every mention/target pair must allocate nothing —
-//! for both the untrained heuristic prior and a trained flat forest.
+//! for the untrained heuristic prior, a trained flat forest row by row,
+//! and the trained [`ScoringEngine`] path the pipeline runs (dedup cache,
+//! exhaustive phase A and the bounded phase-B kernel).
 //!
 //! One `#[test]` only: the counter is process-global, and a second
 //! concurrently-running test would pollute it.
 
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{FeatureMask, PairFeaturizer, FEATURE_COUNT};
+use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{heuristic_prior_masked, Briq, BriqConfig};
+use briq_core::scoring::ScoringEngine;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_ml::{Dataset, RandomForestConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,10 +88,12 @@ fn scoring_sweep_is_allocation_free_after_warmup() {
     };
 
     // Featurizer construction and the first sweep may allocate: invariant
-    // precomputation, the row matrix, and Jaro scratch growth.
+    // precomputation, the row matrix, the engine's buffers and dedup
+    // cache, and Jaro scratch growth.
     let mut fz = PairFeaturizer::new(&sd.mentions, &sd.targets, &sd.ctx);
     let mut rows: Vec<f64> = Vec::new();
-    let sweep = |fz: &mut PairFeaturizer, rows: &mut Vec<f64>| {
+    let mut engine = ScoringEngine::new();
+    let sweep = |fz: &mut PairFeaturizer, rows: &mut Vec<f64>, engine: &mut ScoringEngine| {
         let mut acc = 0.0f64;
         for mi in 0..sd.mentions.len() {
             fz.fill_mention_rows(mi, rows);
@@ -96,12 +102,21 @@ fn scoring_sweep_is_allocation_free_after_warmup() {
                 acc += clf.score(row);
             }
         }
+        // The engine keeps its capacity across `reset`, which empties the
+        // dedup cache so every row is scored again.
+        engine.reset();
+        for (mi, x) in sd.mentions.iter().enumerate() {
+            engine.fill_rows(fz, mi);
+            engine.score_trained(x, &sd.targets, &sd.tags[mi], &clf, &briq.cfg.filter);
+            acc += engine.computed().iter().map(|&(_, s)| s).sum::<f64>();
+            acc += engine.pruned_targets().len() as f64;
+        }
         acc
     };
-    let warm = sweep(&mut fz, &mut rows);
+    let warm = sweep(&mut fz, &mut rows, &mut engine);
 
     let before = allocations();
-    let hot = sweep(&mut fz, &mut rows);
+    let hot = sweep(&mut fz, &mut rows, &mut engine);
     let after = allocations();
 
     assert_eq!(
@@ -115,4 +130,17 @@ fn scoring_sweep_is_allocation_free_after_warmup() {
         hot.to_bits(),
         "sweeps must be deterministic"
     );
+
+    // The measured sweep really ran both engine phases, including the
+    // bounded kernel's pruning.
+    let rec = Recorder::enabled();
+    engine.record_into(&rec);
+    let m = rec.finish().expect("enabled recorder").metrics;
+    for name in [
+        names::ROWS_SCORED_EXHAUSTIVE,
+        names::ROWS_SCORED_BOUNDED,
+        names::PAIRS_PRUNED,
+    ] {
+        assert!(m.counter(name) > 0, "engine counter {name} is zero");
+    }
 }

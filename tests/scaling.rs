@@ -1,6 +1,7 @@
 //! Every parser that reads outside input must run in time linear in it:
 //! `briq_json::parse` reads megabyte model files and serve request lines,
-//! and `html::parse_page` reads the page HTML those requests carry. Each
+//! `html::parse_page` reads the page HTML those requests carry, and
+//! `extract_quantities` scans the paragraph text it yields. Each
 //! shape is parsed at `n` and `8n` bytes; a linear parser takes about 8×
 //! as long on the larger input, a quadratic one about 64×. The bound
 //! sits well between the two. The smaller input keeps the fastest of
@@ -26,6 +27,10 @@ fn json(input: &str) {
 
 fn html(input: &str) {
     std::hint::black_box(briq_table::html::parse_page(input));
+}
+
+fn quantities(input: &str) {
+    std::hint::black_box(briq_text::extract_quantities(input));
 }
 
 fn assert_linear(shape: &str, parse: impl Fn(&str), make: impl Fn(usize) -> String) {
@@ -127,4 +132,21 @@ fn html_unterminated_comment_parses_in_linear_time() {
         }
         s
     });
+}
+
+/// Text of `n` bytes repeating `unit`.
+fn text_of(unit: &str, n: usize) -> String {
+    unit.repeat(n.div_ceil(unit.len()))
+}
+
+#[test]
+fn bare_numbers_extract_in_linear_time() {
+    // No word tokens at all: every mention's approximation window must
+    // not scan back to the start of the text.
+    assert_linear("bare numbers", quantities, |n| text_of("1 ", n));
+}
+
+#[test]
+fn currency_numbers_extract_in_linear_time() {
+    assert_linear("currency numbers", quantities, |n| text_of("$1 ", n));
 }
