@@ -88,7 +88,9 @@
 #                entry and report hit_rate 1.000 / mentions_realigned 0),
 #                and (3) a run over a log whose tail was deliberately torn
 #                with garbage bytes (which must truncate and recompute,
-#                never fail). Then crash-tests briq-serve: a durable
+#                never fail). Then (1) and (2) again with the trained demo
+#                model (briq-align --train-demo, then --model) against its
+#                own --no-store oracle. Then crash-tests briq-serve: a durable
 #                server is driven, SIGKILLed without drain (kill -9, so
 #                only the incrementally-appended novelty log survives),
 #                rebooted on the same --store-dir, must report
@@ -470,6 +472,35 @@ stage_persist() {
         return 1
     }
 
+    # (b) and (c) again with the trained demo model (--train-demo, then
+    # --model): the store's model fingerprint and the durable entries
+    # then cover the pair and tagger forests, not just the config.
+    ./target/release/briq-align --train-demo "$dir/model.json" > /dev/null || return 1
+    ./target/release/briq-align --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
+        --json --no-store --diagnostics "$dir/diag_mcold.jsonl" > "$dir/out_mcold.json"
+    rc_cold=$?
+    if [ "$rc_cold" -ne 0 ] && [ "$rc_cold" -ne 2 ]; then
+        echo "persist: --model cold oracle run failed (exit $rc_cold)" >&2
+        return 1
+    fi
+    ./target/release/briq-align --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
+        --json --store-dir "$dir/mstore" --diagnostics "$dir/diag_mfirst.jsonl" \
+        > "$dir/out_mfirst.json" 2> "$dir/err_mfirst.txt"
+    rc_run=$?
+    same_run persist mcold mfirst "$rc_cold" "$rc_run" "$dir" \
+        "on the first durable --model run" || return 1
+    ./target/release/briq-align --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
+        --json --store-dir "$dir/mstore" --diagnostics "$dir/diag_mwarm.jsonl" \
+        > "$dir/out_mwarm.json" 2> "$dir/err_mwarm.txt"
+    rc_run=$?
+    same_run persist mcold mwarm "$rc_cold" "$rc_run" "$dir" \
+        "on the restart-warmed --model run" || return 1
+    grep -q 'store: repeat 1/1 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_mwarm.txt" || {
+        echo "persist: restart-warmed --model run was not served entirely from the recovered store:" >&2
+        grep '^store:' "$dir/err_mwarm.txt" >&2
+        return 1
+    }
+
     # (e) Serve crash-recovery: drive a durable server, SIGKILL it with
     # no drain (only the incrementally-appended log survives), reboot it
     # on the same --store-dir, and require full recovery: /health
@@ -525,7 +556,7 @@ stage_persist() {
         grep '^store:' "$dir/serve2.log.err" >&2
         return 1
     }
-    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
+    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical (fresh-durable and restart-warmed also with --model); SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
 }
 
 # Boot a briq-serve child, leaving its loopback address in SERVE_ADDR

@@ -3,7 +3,7 @@
 
 use briq_ml::{Dataset, FlatForest, RandomForest, RandomForestConfig};
 
-use crate::features::FeatureMask;
+use crate::features::{FeatureMask, FEATURE_COUNT};
 
 /// A trained mention-pair classifier.
 ///
@@ -85,6 +85,11 @@ impl briq_json::FromJson for PairClassifier {
             .as_object()
             .ok_or_else(|| briq_json::JsonError::new("expected PairClassifier object"))?;
         let forest: RandomForest = briq_json::field(obj, "forest")?;
+        if let Some(f) = forest.max_feature().filter(|&f| f >= FEATURE_COUNT) {
+            return Err(briq_json::JsonError::new(format!(
+                "pair forest splits on feature {f}, but pairs have {FEATURE_COUNT}"
+            )));
+        }
         let mask: FeatureMask = briq_json::field(obj, "mask")?;
         Ok(Self::from_parts(forest, mask))
     }
@@ -93,7 +98,6 @@ impl briq_json::FromJson for PairClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::FEATURE_COUNT;
 
     /// Synthetic pair data: "related" iff value distance (f6 at index 5)
     /// is small and surface similarity (f1 at index 0) is high.

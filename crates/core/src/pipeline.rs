@@ -337,6 +337,18 @@ impl Briq {
         self.classifier.is_some()
     }
 
+    /// The trained pair classifier, if any (read by the store's model
+    /// fingerprint).
+    pub(crate) fn classifier(&self) -> Option<&PairClassifier> {
+        self.classifier.as_ref()
+    }
+
+    /// The mention tagger in force (read by the store's model
+    /// fingerprint).
+    pub(crate) fn tagger(&self) -> &MentionTagger {
+        &self.tagger
+    }
+
     /// Serialize the whole system (configuration, classifier forest,
     /// tagger forests) to JSON for later reuse.
     pub fn to_json(&self) -> briq_json::Result<String> {

@@ -56,6 +56,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use briq_ml::tree::Node;
+use briq_ml::RandomForest;
 use briq_table::{Document, Table, TableMention};
 
 use crate::batch::StageTimings;
@@ -185,15 +187,67 @@ pub fn budget_fingerprint(b: &Budget) -> u64 {
 }
 
 /// Fingerprint of the whole system identity: configuration, trained
-/// classifier, and tagger, via the model's canonical JSON serialization.
-/// Any retrain or config change flips it, invalidating every entry.
+/// classifier, and tagger. Any retrain or config change flips it,
+/// invalidating every entry.
+///
+/// It hashes the model's content, not its serialized text: the config
+/// through its (small) JSON form, then the classifier's presence and
+/// mask, every node of the pair forest and of each tagger forest, and
+/// the tagger threshold. Node and tree counts are folded in as length
+/// prefixes, so two forests with the same node stream but a different
+/// shape cannot collide structurally. The walk is linear in the node
+/// count and never builds the multi-megabyte model JSON. The value is
+/// recomputed on every call, never cached: `cfg` is public and callers
+/// mutate it after construction.
 pub fn model_fingerprint(briq: &Briq) -> u64 {
     let mut fp = Fingerprint::new();
-    match briq.to_json() {
-        Ok(s) => fp.str(&s),
-        Err(_) => fp.str("unserializable-model"),
+    fp.str(&briq_json::to_string(&briq.cfg));
+    match briq.classifier() {
+        Some(c) => {
+            fp.bool(true);
+            let mask = c.mask();
+            fp.bool(mask.surface);
+            fp.bool(mask.context);
+            fp.bool(mask.quantity);
+            forest_fingerprint(&mut fp, c.forest());
+        }
+        None => fp.bool(false),
     }
+    let tagger = briq.tagger();
+    fp.usize(tagger.forests().len());
+    for forest in tagger.forests() {
+        forest_fingerprint(&mut fp, forest);
+    }
+    fp.f64(tagger.threshold);
     fp.finish()
+}
+
+/// Fold every node of every tree of `forest` into `fp`.
+fn forest_fingerprint(fp: &mut Fingerprint, forest: &RandomForest) {
+    fp.usize(forest.trees().len());
+    for tree in forest.trees() {
+        fp.usize(tree.nodes().len());
+        for node in tree.nodes() {
+            match *node {
+                Node::Leaf { prob } => {
+                    fp.bytes(&[0]);
+                    fp.f64(prob);
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    fp.bytes(&[1]);
+                    fp.usize(feature);
+                    fp.f64(threshold);
+                    fp.usize(left);
+                    fp.usize(right);
+                }
+            }
+        }
+    }
 }
 
 /// Fingerprint of the document-global text aggregates the per-mention

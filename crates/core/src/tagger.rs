@@ -126,6 +126,12 @@ impl MentionTagger {
         Self::from_parts(Vec::new(), threshold)
     }
 
+    /// The one-vs-rest forests, in [`AggregationKind::EVALUATED`] order
+    /// (empty for the lexical tagger).
+    pub(crate) fn forests(&self) -> &[RandomForest] {
+        &self.forests
+    }
+
     /// Assemble a tagger, building the flattened scoring layout.
     fn from_parts(forests: Vec<RandomForest>, threshold: f64) -> Self {
         let flats = forests.iter().map(FlatForest::from_forest).collect();
@@ -222,6 +228,12 @@ impl briq_json::FromJson for MentionTagger {
             .as_object()
             .ok_or_else(|| briq_json::JsonError::new("expected MentionTagger object"))?;
         let forests: Vec<RandomForest> = briq_json::field(obj, "forests")?;
+        let widest = forests.iter().filter_map(RandomForest::max_feature).max();
+        if let Some(f) = widest.filter(|&f| f >= TAGGER_FEATURE_COUNT) {
+            return Err(briq_json::JsonError::new(format!(
+                "tagger forest splits on feature {f}, but mentions have {TAGGER_FEATURE_COUNT}"
+            )));
+        }
         let threshold: f64 = briq_json::field(obj, "threshold")?;
         Ok(Self::from_parts(forests, threshold))
     }

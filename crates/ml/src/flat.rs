@@ -116,48 +116,89 @@ impl FlatForest {
         flat
     }
 
-    /// Emit the subtree rooted at `id` in pre-order, compiled to votes;
-    /// returns its flat offset. Recursion depth is bounded by the
-    /// tree-growing `max_depth`, which is small by construction.
-    fn emit(&mut self, nodes: &[Node], id: usize, keep: &impl Fn(usize) -> bool) -> u32 {
-        let at = self.nodes.len();
-        assert!(at < u32::MAX as usize, "forest exceeds the u32 layout");
-        match &nodes[id] {
-            Node::Leaf { prob } => self.nodes.push(FlatNode::leaf(*prob >= 0.5)),
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                if !keep(*feature) {
+    /// Emit the subtree rooted at `root` in pre-order, compiled to votes;
+    /// returns its flat offset. The walk keeps its own stack instead of
+    /// recursing, so a tree as deep as its node count (a model file may
+    /// hold one) costs heap, not call stack. It relies on the tree shape
+    /// the loader checks: child indices are in range and every node has
+    /// one parent, so the walk ends.
+    fn emit(&mut self, nodes: &[Node], root: usize, keep: &impl Fn(usize) -> bool) -> u32 {
+        /// Pending work, popped last-in first-out.
+        enum Step {
+            /// Emit the subtree at node `id`; when it is a right child,
+            /// `parent` is the flat offset of the split to point at it.
+            Enter { id: usize, parent: Option<usize> },
+            /// Both subtrees of the split at this flat offset are out.
+            Join(usize),
+        }
+        let start = self.nodes.len();
+        let mut stack = vec![Step::Enter {
+            id: root,
+            parent: None,
+        }];
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Enter { mut id, parent } => {
                     // A masked feature reads as 0.0; resolve the branch now.
-                    let next = if 0.0 <= *threshold { *left } else { *right };
-                    return self.emit(nodes, next, keep);
+                    while let Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } = nodes[id]
+                    {
+                        if keep(feature) {
+                            break;
+                        }
+                        id = if 0.0 <= threshold { left } else { right };
+                    }
+                    let at = self.nodes.len();
+                    assert!(at < u32::MAX as usize, "forest exceeds the u32 layout");
+                    if let Some(parent) = parent {
+                        self.nodes[parent].right = at as u32;
+                    }
+                    match nodes[id] {
+                        Node::Leaf { prob } => self.nodes.push(FlatNode::leaf(prob >= 0.5)),
+                        Node::Split {
+                            feature,
+                            threshold,
+                            left,
+                            right,
+                        } => {
+                            assert!(
+                                feature < LEAF as usize,
+                                "feature index {feature} exceeds the u16 layout"
+                            );
+                            self.nodes.push(FlatNode {
+                                threshold,
+                                right: 0,
+                                feature: feature as u16,
+                                vote: false,
+                            });
+                            stack.push(Step::Join(at));
+                            stack.push(Step::Enter {
+                                id: right,
+                                parent: Some(at),
+                            });
+                            stack.push(Step::Enter {
+                                id: left,
+                                parent: None,
+                            });
+                        }
+                    }
                 }
-                assert!(
-                    *feature < LEAF as usize,
-                    "feature index {feature} exceeds the u16 layout"
-                );
-                self.nodes.push(FlatNode {
-                    threshold: *threshold,
-                    right: 0,
-                    feature: *feature as u16,
-                    vote: false,
-                });
-                let l = self.emit(nodes, *left, keep) as usize;
-                let r = self.emit(nodes, *right, keep);
-                let (ln, rn) = (self.nodes[l], self.nodes[r as usize]);
-                if ln.is_leaf() && rn.is_leaf() && ln.vote == rn.vote {
-                    // Both branches vote alike: the split cannot matter.
-                    self.nodes.truncate(at);
-                    self.nodes.push(FlatNode::leaf(ln.vote));
-                } else {
-                    self.nodes[at].right = r;
+                Step::Join(at) => {
+                    let right = self.nodes[at].right as usize;
+                    let (ln, rn) = (self.nodes[at + 1], self.nodes[right]);
+                    if ln.is_leaf() && rn.is_leaf() && ln.vote == rn.vote {
+                        // Both branches vote alike: the split cannot matter.
+                        self.nodes.truncate(at);
+                        self.nodes.push(FlatNode::leaf(ln.vote));
+                    }
                 }
             }
         }
-        at as u32
+        start as u32
     }
 
     /// Whether tree `tree` votes "related" for `x` — exactly

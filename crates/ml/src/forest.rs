@@ -9,7 +9,7 @@
 //! on when mixing priors into the random walk.
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Node, TreeConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -100,6 +100,19 @@ impl RandomForest {
     /// The grown trees, in voting order.
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
+    }
+
+    /// The largest feature index any split tests, or `None` for a forest
+    /// without splits. Loaders check it against the model's width.
+    pub fn max_feature(&self) -> Option<usize> {
+        self.trees
+            .iter()
+            .flat_map(|t| t.nodes())
+            .filter_map(|n| match *n {
+                Node::Split { feature, .. } => Some(feature),
+                Node::Leaf { .. } => None,
+            })
+            .max()
     }
 }
 

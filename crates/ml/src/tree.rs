@@ -405,7 +405,58 @@ briq_json::json_struct!(TreeConfig {
     mtry,
     min_gain
 });
-briq_json::json_struct!(DecisionTree { nodes });
+
+impl briq_json::ToJson for DecisionTree {
+    fn to_json(&self) -> briq_json::Value {
+        briq_json::Value::Object(vec![("nodes".to_string(), self.nodes.to_json())])
+    }
+}
+
+// Hand-written so a malformed model file is an `Err`, never a panic or
+// an endless walk: the scoring and flattening code follows child indices
+// without checking them.
+impl briq_json::FromJson for DecisionTree {
+    fn from_json(v: &briq_json::Value) -> briq_json::Result<Self> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| briq_json::JsonError::new("expected DecisionTree object"))?;
+        let nodes: Vec<Node> = briq_json::field(obj, "nodes")?;
+        check_shape(&nodes).map_err(briq_json::JsonError::new)?;
+        Ok(DecisionTree { nodes })
+    }
+}
+
+/// Accept `nodes` only if it is a tree rooted at index 0: non-empty,
+/// every child index greater than its parent's and in range, and every
+/// non-root node referenced exactly once. Those three make every node
+/// reachable from the root along strictly increasing indices, so any
+/// walk from the root terminates and visits each node at most once.
+fn check_shape(nodes: &[Node]) -> Result<(), String> {
+    if nodes.is_empty() {
+        return Err("decision tree has no nodes".to_string());
+    }
+    let mut referenced = vec![false; nodes.len()];
+    for (id, node) in nodes.iter().enumerate() {
+        if let Node::Split { left, right, .. } = *node {
+            for child in [left, right] {
+                if child <= id || child >= nodes.len() {
+                    return Err(format!(
+                        "split {id} has child {child} outside {}..{}",
+                        id + 1,
+                        nodes.len()
+                    ));
+                }
+                if std::mem::replace(&mut referenced[child], true) {
+                    return Err(format!("node {child} has more than one parent"));
+                }
+            }
+        }
+    }
+    match referenced[1..].iter().position(|r| !r) {
+        Some(orphan) => Err(format!("node {} has no parent", orphan + 1)),
+        None => Ok(()),
+    }
+}
 
 // `Node` has struct variants, which the derive-style macros don't cover;
 // the encoding mirrors json_enum!'s externally-tagged form.

@@ -28,10 +28,15 @@ pub fn run(
     if from > haystack.len() {
         return Ok(None);
     }
-    // Positions: byte offset of every char at or after `from`, plus the
-    // end-of-input sentinel.
-    let tail = &haystack[from..];
-    let chars: Vec<(usize, char)> = tail.char_indices().map(|(i, c)| (from + i, c)).collect();
+    // Walk the chars at or after `from` one at a time, with one char of
+    // lookahead for the threads that step past the current one. Nothing
+    // is collected up front: a search that ends early (as every match
+    // of `find_iter` does) costs only the chars it read, so scanning a
+    // text match by match stays linear in its length.
+    let hay_len = haystack.len();
+    let mut rest = haystack[from..].char_indices().map(|(i, c)| (from + i, c));
+    let mut prev: Option<char> = haystack[..from].chars().next_back();
+    let mut here: Option<(usize, char)> = rest.next();
 
     let mut clist = ThreadList::new(prog.insts.len());
     let mut nlist = ThreadList::new(prog.insts.len());
@@ -41,23 +46,21 @@ pub fn run(
         max: max_steps,
     };
 
-    for step in 0..=chars.len() {
-        let at = if step < chars.len() {
-            chars[step].0
-        } else {
-            haystack.len()
-        };
-        let cur: Option<char> = chars.get(step).map(|&(_, c)| c);
-        let prev: Option<char> = if step == 0 {
-            haystack[..from].chars().next_back()
-        } else {
-            Some(chars[step - 1].1)
-        };
+    loop {
+        let ahead = rest.next();
+        let cur: Option<char> = here.map(|(_, c)| c);
         let ctx = Ctx {
-            at,
+            at: here.map_or(hay_len, |(i, _)| i),
             cur,
             prev,
-            hay_len: haystack.len(),
+            hay_len,
+        };
+        // Context of the position after `cur`, for threads that consume it.
+        let next = Ctx {
+            at: ahead.map_or(hay_len, |(i, _)| i),
+            cur: ahead.map(|(_, c)| c),
+            prev: cur,
+            hay_len,
         };
 
         // New starting thread at this position (lowest priority), unless a
@@ -86,19 +89,16 @@ pub fn run(
                 }
                 Inst::Char(c) => {
                     if cur == Some(*c) {
-                        let next = next_ctx(&chars, step, haystack.len());
                         add_thread(prog, &mut nlist, pc + 1, slots, next, &mut steps)?;
                     }
                 }
                 Inst::Any => {
                     if matches!(cur, Some(c) if c != '\n') {
-                        let next = next_ctx(&chars, step, haystack.len());
                         add_thread(prog, &mut nlist, pc + 1, slots, next, &mut steps)?;
                     }
                 }
                 Inst::Class(set) => {
                     if matches!(cur, Some(c) if set.contains(c)) {
-                        let next = next_ctx(&chars, step, haystack.len());
                         add_thread(prog, &mut nlist, pc + 1, slots, next, &mut steps)?;
                     }
                 }
@@ -113,6 +113,8 @@ pub fn run(
         if cur.is_none() {
             break;
         }
+        prev = cur;
+        here = ahead;
     }
     Ok(matched)
 }
@@ -141,16 +143,6 @@ struct Ctx {
     cur: Option<char>,
     prev: Option<char>,
     hay_len: usize,
-}
-
-fn next_ctx(chars: &[(usize, char)], step: usize, hay_len: usize) -> Ctx {
-    let at = chars.get(step + 1).map_or(hay_len, |&(i, _)| i);
-    Ctx {
-        at,
-        cur: chars.get(step + 1).map(|&(_, c)| c),
-        prev: chars.get(step).map(|&(_, c)| c),
-        hay_len,
-    }
 }
 
 struct Thread {

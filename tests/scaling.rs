@@ -1,7 +1,9 @@
 //! Every parser that reads outside input must run in time linear in it:
 //! `briq_json::parse` reads megabyte model files and serve request lines,
 //! `html::parse_page` reads the page HTML those requests carry, and
-//! `extract_quantities` scans the paragraph text it yields. Each
+//! `extract_quantities` scans the paragraph text it yields; the
+//! numeral parser reads every number token, and the regex engine
+//! compiles and runs patterns over text. Each
 //! shape is parsed at `n` and `8n` bytes; a linear parser takes about 8×
 //! as long on the larger input, a quadratic one about 64×. The bound
 //! sits well between the two. The smaller input keeps the fastest of
@@ -31,6 +33,19 @@ fn html(input: &str) {
 
 fn quantities(input: &str) {
     std::hint::black_box(briq_text::extract_quantities(input));
+}
+
+fn numeral(input: &str) {
+    std::hint::black_box(briq_text::numparse::parse_numeral(input));
+}
+
+fn regex_compile(pattern: &str) {
+    std::hint::black_box(briq_regex::Regex::new(pattern).expect("scaling pattern compiles"));
+}
+
+fn regex_matches(input: &str) {
+    let re = briq_regex::Regex::new(r"\d+(,\d{3})*").expect("pattern compiles");
+    std::hint::black_box(re.find_iter(input).count());
 }
 
 fn assert_linear(shape: &str, parse: impl Fn(&str), make: impl Fn(usize) -> String) {
@@ -149,4 +164,49 @@ fn bare_numbers_extract_in_linear_time() {
 #[test]
 fn currency_numbers_extract_in_linear_time() {
     assert_linear("currency numbers", quantities, |n| text_of("$1 ", n));
+}
+
+#[test]
+fn grouped_numerals_parse_in_linear_time() {
+    assert_linear("comma-grouped numeral", numeral, |n| {
+        let mut s = String::from("1");
+        while s.len() < n {
+            s.push_str(",234");
+        }
+        s
+    });
+    assert_linear("dot-grouped numeral", numeral, |n| {
+        let mut s = String::from("1");
+        while s.len() < n {
+            s.push_str(".234");
+        }
+        s
+    });
+    assert_linear("grouped decimal numeral", numeral, |n| {
+        let mut s = String::from("1");
+        while s.len() + 3 < n {
+            s.push_str(",234");
+        }
+        s.push_str(".56");
+        s
+    });
+}
+
+#[test]
+fn regex_long_class_compiles_in_linear_time() {
+    assert_linear("long class", regex_compile, |n| {
+        let mut s = String::from("[");
+        while s.len() < n {
+            s.push_str("a-z0-9,.%$ ");
+        }
+        s.push(']');
+        s
+    });
+}
+
+#[test]
+fn regex_matches_long_text_in_linear_time() {
+    assert_linear("numbers in prose", regex_matches, |n| {
+        text_of("about 1,234 of ", n)
+    });
 }
