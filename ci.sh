@@ -83,9 +83,11 @@
 #                actually happened).
 #   persist      durability gate for the on-disk store (DESIGN.md §16).
 #                Byte-compares a cold --no-store oracle against (1) a
-#                fresh --store-dir run, (2) a restart-warmed run in a new
-#                process over the same directory (which must recover every
-#                entry and report hit_rate 1.000 / mentions_realigned 0),
+#                fresh --store-dir run (whose store directory must then
+#                hold at most 3x the corpus HTML bytes, du -sb), (2) a
+#                restart-warmed run in a new process over the same
+#                directory (which must recover every entry and report
+#                hit_rate 1.000 / mentions_realigned 0),
 #                and (3) a run over a log whose tail was deliberately torn
 #                with garbage bytes (which must truncate and recompute,
 #                never fail). Then (1) and (2) again with the trained demo
@@ -437,6 +439,15 @@ stage_persist() {
         grep '^store:' "$dir/err_first.txt" >&2
         return 1
     }
+    # The store memoizes each document's output, not its pipeline
+    # intermediates: its directory must stay within 3x the corpus HTML.
+    local store_bytes corpus_bytes
+    store_bytes="$(du -sb "$dir/store" | cut -f1)"
+    corpus_bytes="$(cat "$dir/corpus"/*.html | wc -c)"
+    if [ "$store_bytes" -gt $((3 * corpus_bytes)) ]; then
+        echo "persist: store directory holds $store_bytes bytes for $corpus_bytes bytes of corpus HTML (bound 3x)" >&2
+        return 1
+    fi
 
     # (c) Restart-warmed run in a NEW process over the same directory:
     # must recover every entry, serve the unchanged corpus entirely from
@@ -556,6 +567,7 @@ stage_persist() {
         grep '^store:' "$dir/serve2.log.err" >&2
         return 1
     }
+    echo "persist: store directory $store_bytes bytes for $corpus_bytes bytes of HTML (bound 3x)"
     echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical (fresh-durable and restart-warmed also with --model); SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
 }
 

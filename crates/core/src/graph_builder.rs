@@ -19,7 +19,7 @@ use briq_table::{TableMention, TableMentionKind};
 use std::collections::BTreeMap;
 
 use crate::filtering::Candidate;
-use crate::jaro::jaro_winkler;
+use crate::jaro::JaroScratch;
 use crate::mention::TextMention;
 
 /// Graph-construction parameters.
@@ -158,15 +158,19 @@ pub fn build_graph_budgeted(
         table_nodes.insert(ti, graph.add_node());
     }
 
-    // text-text edges
+    // text-text edges. Each mention is lowercased into chars once; the
+    // scratch scorer is bit-identical to `jaro_winkler` on the lowercased
+    // strings.
+    let lowered: Vec<Vec<char>> = mentions
+        .iter()
+        .map(|x| x.quantity.raw.to_lowercase().chars().collect())
+        .collect();
+    let mut jaro = JaroScratch::new();
     let len = doc_tokens.max(1) as f64;
     'text_text: for i in 0..m {
         for j in (i + 1)..m {
             let dist = token_positions[i].abs_diff(token_positions[j]);
-            let sim = jaro_winkler(
-                &mentions[i].quantity.raw.to_lowercase(),
-                &mentions[j].quantity.raw.to_lowercase(),
-            );
+            let sim = jaro.jaro_winkler_chars(&lowered[i], &lowered[j]);
             let near = dist <= cfg.proximity_window;
             let similar = sim >= cfg.similarity_threshold;
             if near || similar {

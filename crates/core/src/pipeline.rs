@@ -7,7 +7,7 @@ use briq_text::cues::AggregationKind;
 
 use crate::batch::{BatchConfig, BatchReport, StageTimings};
 use crate::classifier::PairClassifier;
-use crate::context::{ContextConfig, DocContext, TableContext};
+use crate::context::{ContextConfig, DocContext};
 use crate::error::{
     BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostics, Stage,
 };
@@ -22,7 +22,7 @@ use crate::resolution::{resolve_observed, ResolutionConfig, ResolutionEvent};
 use crate::retrieval::CandidateIndex;
 use crate::span;
 use crate::store::AlignmentStore;
-use crate::tagger::{tagger_features, MentionTagger, TaggerExample};
+use crate::tagger::{MentionTagger, TaggerExample, TaggerScope};
 use crate::training::{
     build_training_examples, examples_to_dataset, tagger_label, LabeledDocument,
 };
@@ -54,8 +54,8 @@ pub struct BriqConfig {
     /// mention with every target (DESIGN.md §13). Output is bit-identical
     /// either way (`--no-index` turns it off).
     pub use_index: bool,
-    /// Serve repeated alignments of unchanged (or partially changed)
-    /// documents from the versioned [`crate::store::AlignmentStore`]
+    /// Serve repeated alignments of unchanged documents from the
+    /// versioned [`crate::store::AlignmentStore`]
     /// when one is attached (DESIGN.md §15). Output is bit-identical
     /// either way (`--no-store` turns it off).
     pub use_store: bool,
@@ -313,6 +313,7 @@ impl Briq {
                 continue;
             }
             let ctx = DocContext::build(&ld.document, &mentions, &cfg.context);
+            let scope = TaggerScope::new(&ctx, &ld.document);
             for x in &mentions {
                 let gold = ld
                     .gold
@@ -320,7 +321,7 @@ impl Briq {
                     .find(|g| x.quantity.start < g.mention_end && g.mention_start < x.quantity.end);
                 let Some(g) = gold else { continue };
                 examples.push(TaggerExample {
-                    features: tagger_features(x, &ctx, &ld.document),
+                    features: scope.features(x, &ctx),
                     label: tagger_label(g.kind),
                 });
             }
@@ -401,7 +402,9 @@ impl Briq {
     }
 
     /// Stage 1: text mentions, document context, and (budget-capped)
-    /// table mentions, with per-table degradation diagnostics.
+    /// table mentions, with per-table degradation diagnostics: degenerate
+    /// tables are skipped and virtual-cell generation is truncated at the
+    /// budget, each with a diagnostic.
     #[allow(clippy::type_complexity)]
     fn extract_stage(
         &self,
@@ -409,25 +412,7 @@ impl Briq {
         budget: &Budget,
     ) -> (Vec<TextMention>, DocContext, Vec<TableMention>, Diagnostics) {
         let mentions = text_mentions(doc);
-        let (tables, targets, diags) = self.extract_table_side(doc, budget);
-        let ctx = DocContext::build_with_tables(doc, &mentions, &self.cfg.context, tables);
-        (mentions, ctx, targets, diags)
-    }
-
-    /// The table half of extraction: per-table contexts, alignment
-    /// targets (single + capped virtual cells), and the degenerate-table
-    /// / budget-truncation diagnostics they produce. Pure in
-    /// `doc.tables` + config + budget, which is what lets the alignment
-    /// store reuse it verbatim when only the paragraph text of a page
-    /// changed (DESIGN.md §15).
-    pub(crate) fn extract_table_side(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (Vec<TableContext>, Vec<TableMention>, Diagnostics) {
         let mut diags = Diagnostics::default();
-        let tables: Vec<TableContext> = doc.tables.iter().map(TableContext::build).collect();
-
         for (i, t) in doc.tables.iter().enumerate() {
             if t.data_rows().is_empty() || t.data_cols().is_empty() {
                 diags.record(
@@ -438,7 +423,6 @@ impl Briq {
                 );
             }
         }
-
         let (targets, truncated_tables) = all_table_mentions_capped(
             &doc.tables,
             &self.cfg.virtual_cells,
@@ -455,7 +439,8 @@ impl Briq {
                 DegradedAction::Truncated,
             );
         }
-        (tables, targets, diags)
+        let ctx = DocContext::build(doc, &mentions, &self.cfg.context);
+        (mentions, ctx, targets, diags)
     }
 
     /// Stage 2: score every mention/target pair and tag each mention's
@@ -497,11 +482,12 @@ impl Briq {
             })
             .collect();
 
+        let scope = TaggerScope::new(ctx, doc);
         let tags: Vec<Vec<AggregationKind>> = mentions
             .iter()
             .enumerate()
             .map(|(i, x)| {
-                let mut tags = self.tagger.tags(&tagger_features(x, ctx, doc));
+                let mut tags = self.tagger.tags(&scope.features(x, ctx));
                 if self.cfg.virtual_cells.extended {
                     tags.extend(crate::tagger::extended_lexical_tags(
                         &ctx.mentions[i].immediate_words,
@@ -539,21 +525,107 @@ impl Briq {
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> Result<(Vec<Vec<Candidate>>, FilterStats), CancelCause> {
-        let mut pass = ClassifyPass::new(self, doc, mentions, ctx, targets, timings, rec);
+        // Per-document machinery — tagger scope, featurizer, arena takes
+        // and retrieval-index build — is charged to the classify stage
+        // and runs inside a `classify` span, so throughput artifacts and
+        // traces see its cost.
+        let t0 = Instant::now();
+        let (scope, mut featurizer, mut engine, mut scratch, index) = {
+            let _g = span!(rec, names::SPAN_CLASSIFY);
+            // Pooled per-worker scratch (DESIGN.md §14): reset engine and
+            // retrieval buffers from this thread's arena instead of cold
+            // construction. An early cancellation return simply drops
+            // them; the arena refills on the next document.
+            (
+                TaggerScope::new(ctx, doc),
+                PairFeaturizer::new(mentions, targets, ctx),
+                crate::arena::take_engine(),
+                crate::arena::take_retrieval_scratch(),
+                // Built once per document (tokenless: `retrieve` never
+                // consults postings, so the hot path must not pay for
+                // them); retrieval per mention is then allocation-free
+                // and bounded by the viable candidate set.
+                self.cfg
+                    .use_index
+                    .then(|| CandidateIndex::build(targets, self.cfg.filter.value_diff_threshold)),
+            )
+        };
+        timings.classify_s += t0.elapsed().as_secs_f64();
+
         let mut stats = FilterStats::default();
         let mut candidates = Vec::with_capacity(mentions.len());
-        for mi in 0..mentions.len() {
+        for (mi, x) in mentions.iter().enumerate() {
             if let Some(cause) = cancel.cause() {
                 return Err(cause);
             }
-            let (cands, delta) = pass.run_mention(mi, timings, rec);
-            // Per-mention deltas merged in mention order reproduce the
-            // direct accumulation exactly: `FilterStats` is a pair of
-            // count maps and merge is entrywise addition.
-            stats.merge(&delta);
-            candidates.push(cands);
+            let t0 = Instant::now();
+            let tags = {
+                let _g = span!(rec, names::SPAN_CLASSIFY, mention = mi);
+                let mut tags = self.tagger.tags(&scope.features(x, ctx));
+                if self.cfg.virtual_cells.extended {
+                    tags.extend(crate::tagger::extended_lexical_tags(
+                        &ctx.mentions[mi].immediate_words,
+                    ));
+                }
+                match &index {
+                    Some(idx) => {
+                        idx.retrieve(x.quantity.value, x.quantity.unit, &tags, &mut scratch);
+                        engine.fill_rows_selected(&mut featurizer, mi, &scratch.near, &scratch.far);
+                        match &self.classifier {
+                            Some(clf) => engine.score_trained_selected(
+                                x,
+                                targets,
+                                &tags,
+                                clf,
+                                &self.cfg.filter,
+                            ),
+                            None => engine.score_heuristic_selected(&self.cfg.mask),
+                        }
+                        // Keep Table-VI totals identical to the oracle's.
+                        idx.record_dropped(&scratch, &mut stats);
+                        let retrieved = scratch.retrieved() as u64;
+                        let skipped = targets.len() as u64 - retrieved;
+                        timings.candidates_retrieved += retrieved;
+                        timings.pairs_skipped_retrieval += skipped;
+                        rec.count(names::RETRIEVAL_CANDIDATES, retrieved);
+                        rec.count(names::RETRIEVAL_PAIRS_DROPPED, skipped);
+                        rec.observe(names::RETRIEVAL_CANDIDATES_PER_MENTION, retrieved as f64);
+                    }
+                    None => {
+                        engine.fill_rows(&mut featurizer, mi);
+                        match &self.classifier {
+                            Some(clf) => {
+                                engine.score_trained(x, targets, &tags, clf, &self.cfg.filter)
+                            }
+                            None => engine.score_heuristic(&self.cfg.mask),
+                        }
+                    }
+                }
+                tags
+            };
+            timings.classify_s += t0.elapsed().as_secs_f64();
+            let t1 = Instant::now();
+            {
+                let _g = span!(rec, names::SPAN_FILTER, mention = mi);
+                candidates.push(filter_mention_pruned(
+                    x,
+                    engine.computed(),
+                    engine.pruned_targets(),
+                    targets,
+                    &tags,
+                    &self.cfg.filter,
+                    &mut stats,
+                ));
+            }
+            timings.filter_s += t1.elapsed().as_secs_f64();
         }
-        pass.finish(timings, &stats, rec);
+        timings.rows_deduped += engine.rows_deduped();
+        timings.pairs_pruned += engine.pairs_pruned();
+        engine.record_into(rec);
+        stats.record_into(rec);
+        crate::arena::put_engine(engine);
+        crate::arena::put_retrieval_scratch(scratch);
+        rec.observe(names::ARENA_BYTES_PEAK, crate::arena::bytes_peak() as f64);
         Ok((candidates, stats))
     }
 
@@ -599,15 +671,15 @@ impl Briq {
     ///   happened). Cancelled runs are never cached.
     /// * **Store** — with `Some((store, key))` *and* `cfg.use_store`,
     ///   unchanged documents are served from the versioned
-    ///   [`AlignmentStore`], only the dirty mentions of partially changed
-    ///   ones are re-aligned, and cold keys are computed and cached.
-    ///   Output is bit-identical for every cache state — the store only
-    ///   replays artifacts whose inputs fingerprint-match. With
-    ///   `use_store: false` the store is neither consulted nor populated.
+    ///   [`AlignmentStore`]'s per-document memo, and changed or cold ones
+    ///   are computed in full and memoized. Output is bit-identical for
+    ///   every cache state — the store only serves a memo whose inputs
+    ///   fingerprint-match. With `use_store: false` the store is neither
+    ///   consulted nor populated.
     pub fn align_with(&self, doc: &Document, opts: &AlignOptions<'_>) -> AlignOutput {
         match opts.store.filter(|_| self.cfg.use_store) {
             Some((store, key)) => store.align(self, key, doc, opts),
-            None => self.align_uncached(doc, opts),
+            None => self.align_uncached(doc, opts).0,
         }
     }
 
@@ -634,12 +706,20 @@ impl Briq {
     }
 
     /// The stateless pipeline behind [`Briq::align_with`]: every stage
-    /// runs from scratch.
-    fn align_uncached(&self, doc: &Document, opts: &AlignOptions<'_>) -> AlignOutput {
+    /// runs from scratch. Also returns the document's alignment-target
+    /// count, which the alignment store memoizes for its `targets`
+    /// counter, or `None` when the run was cancelled (cancelled output
+    /// is never memoized).
+    pub(crate) fn align_uncached(
+        &self,
+        doc: &Document,
+        opts: &AlignOptions<'_>,
+    ) -> (AlignOutput, Option<u64>) {
         let (budget, rec, cancel) = (&opts.budget, &opts.rec, &opts.cancel);
         let mut timings = StageTimings::default();
         if let Some(cause) = cancel.cause() {
-            return cancelled_result(Stage::Extraction, cause, Default::default(), timings, rec);
+            let out = cancelled_result(Stage::Extraction, cause, Default::default(), timings, rec);
+            return (out, None);
         }
         let t_extract = Instant::now();
         let (mentions, ctx, targets, mut diags) = {
@@ -661,7 +741,8 @@ impl Briq {
         ) {
             Ok(out) => out,
             Err(cause) => {
-                return cancelled_result(Stage::Classification, cause, diags, timings, rec)
+                let out = cancelled_result(Stage::Classification, cause, diags, timings, rec);
+                return (out, None);
             }
         };
         timings.pairs_scored += (mentions.len() * targets.len()) as u64;
@@ -679,28 +760,27 @@ impl Briq {
             cancel,
         ) {
             Ok(a) => a,
-            Err((stage, cause)) => return cancelled_result(stage, cause, diags, timings, rec),
+            Err((stage, cause)) => {
+                return (cancelled_result(stage, cause, diags, timings, rec), None)
+            }
         };
         record_budget_exhaustions(&diags, rec);
-        AlignOutput {
+        let out = AlignOutput {
             alignments,
             stats,
             candidates,
             diagnostics: diags,
             timings,
-        }
+        };
+        (out, Some(targets.len() as u64))
     }
 
     /// Stages 4+5: budgeted graph construction and global resolution,
-    /// then the final alignment mapping. Shared verbatim between
-    /// [`Briq::align_uncached`] and the alignment store's
-    /// incremental path (DESIGN.md §15) — resolution is a global
-    /// algorithm (each decision updates the graph the next walk runs
-    /// on), so any changed document re-runs this stage in full, from
-    /// identical inputs, and can never drift from the full recompute.
-    /// A fired cancel token surfaces as `Err((stage, cause))`.
+    /// then the final alignment mapping. Resolution is global to the
+    /// document: each accepted alignment updates the graph the next walk
+    /// runs on. A fired cancel token surfaces as `Err((stage, cause))`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn graph_resolve_stage(
+    fn graph_resolve_stage(
         &self,
         mentions: &[TextMention],
         ctx: &DocContext,
@@ -795,173 +875,6 @@ impl Briq {
     }
 }
 
-/// The fused classify+filter stage, factored into a per-mention unit so
-/// the alignment store can re-run it for exactly the dirty mentions of a
-/// changed page version (DESIGN.md §15) while [`Briq::classify_filter_stage`]
-/// drives it over every mention. One instance per document: the
-/// featurizer, scoring engine, retrieval index, and scratch buffers are
-/// built once and shared across `run_mention` calls, exactly as the
-/// former monolithic loop did.
-pub(crate) struct ClassifyPass<'a> {
-    briq: &'a Briq,
-    doc: &'a Document,
-    mentions: &'a [TextMention],
-    ctx: &'a DocContext,
-    targets: &'a [TableMention],
-    featurizer: PairFeaturizer<'a>,
-    engine: crate::scoring::ScoringEngine,
-    scratch: crate::retrieval::RetrievalScratch,
-    index: Option<CandidateIndex>,
-}
-
-impl<'a> ClassifyPass<'a> {
-    /// Build the per-document machinery. All of it — featurizer, arena
-    /// takes and retrieval-index build — is charged to the classify stage
-    /// and runs inside a `classify` span, so throughput artifacts, the
-    /// perf-trend gate and traces see its cost.
-    pub(crate) fn new(
-        briq: &'a Briq,
-        doc: &'a Document,
-        mentions: &'a [TextMention],
-        ctx: &'a DocContext,
-        targets: &'a [TableMention],
-        timings: &mut StageTimings,
-        rec: &Recorder,
-    ) -> ClassifyPass<'a> {
-        let t0 = Instant::now();
-        let _g = span!(rec, names::SPAN_CLASSIFY);
-        let featurizer = PairFeaturizer::new(mentions, targets, ctx);
-        // Pooled per-worker scratch (DESIGN.md §14): reset engine and
-        // retrieval buffers from this thread's arena instead of cold
-        // construction. An early cancellation return simply drops them;
-        // the arena refills on the next document.
-        let engine = crate::arena::take_engine();
-        // Built once per document (tokenless: `retrieve` never consults
-        // postings, so the hot path must not pay for them); retrieval
-        // per mention is then allocation-free and bounded by the viable
-        // candidate set.
-        let index = briq
-            .cfg
-            .use_index
-            .then(|| CandidateIndex::build(targets, briq.cfg.filter.value_diff_threshold));
-        let scratch = crate::arena::take_retrieval_scratch();
-        timings.classify_s += t0.elapsed().as_secs_f64();
-        ClassifyPass {
-            briq,
-            doc,
-            mentions,
-            ctx,
-            targets,
-            featurizer,
-            engine,
-            scratch,
-            index,
-        }
-    }
-
-    /// Classify + filter one mention. Returns its kept candidates and a
-    /// fresh [`FilterStats`] delta holding exactly this mention's
-    /// contribution to the document totals (filter counts plus
-    /// retrieval-dropped counts) — pure per mention, so the store can
-    /// cache and replay it.
-    pub(crate) fn run_mention(
-        &mut self,
-        mi: usize,
-        timings: &mut StageTimings,
-        rec: &Recorder,
-    ) -> (Vec<Candidate>, FilterStats) {
-        let x = &self.mentions[mi];
-        let mut delta = FilterStats::default();
-        let t0 = Instant::now();
-        let tags = {
-            let _g = span!(rec, names::SPAN_CLASSIFY, mention = mi);
-            let mut tags = self
-                .briq
-                .tagger
-                .tags(&tagger_features(x, self.ctx, self.doc));
-            if self.briq.cfg.virtual_cells.extended {
-                tags.extend(crate::tagger::extended_lexical_tags(
-                    &self.ctx.mentions[mi].immediate_words,
-                ));
-            }
-            match &self.index {
-                Some(idx) => {
-                    idx.retrieve(x.quantity.value, x.quantity.unit, &tags, &mut self.scratch);
-                    self.engine.fill_rows_selected(
-                        &mut self.featurizer,
-                        mi,
-                        &self.scratch.near,
-                        &self.scratch.far,
-                    );
-                    match &self.briq.classifier {
-                        Some(clf) => self.engine.score_trained_selected(
-                            x,
-                            self.targets,
-                            &tags,
-                            clf,
-                            &self.briq.cfg.filter,
-                        ),
-                        None => self.engine.score_heuristic_selected(&self.briq.cfg.mask),
-                    }
-                    // Keep Table-VI totals identical to the oracle's.
-                    idx.record_dropped(&self.scratch, &mut delta);
-                    let retrieved = self.scratch.retrieved() as u64;
-                    let skipped = self.targets.len() as u64 - retrieved;
-                    timings.candidates_retrieved += retrieved;
-                    timings.pairs_skipped_retrieval += skipped;
-                    rec.count(names::RETRIEVAL_CANDIDATES, retrieved);
-                    rec.count(names::RETRIEVAL_PAIRS_DROPPED, skipped);
-                    rec.observe(names::RETRIEVAL_CANDIDATES_PER_MENTION, retrieved as f64);
-                }
-                None => {
-                    self.engine.fill_rows(&mut self.featurizer, mi);
-                    match &self.briq.classifier {
-                        Some(clf) => self.engine.score_trained(
-                            x,
-                            self.targets,
-                            &tags,
-                            clf,
-                            &self.briq.cfg.filter,
-                        ),
-                        None => self.engine.score_heuristic(&self.briq.cfg.mask),
-                    }
-                }
-            }
-            tags
-        };
-        timings.classify_s += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let cands;
-        {
-            let _g = span!(rec, names::SPAN_FILTER, mention = mi);
-            cands = filter_mention_pruned(
-                x,
-                self.engine.computed(),
-                self.engine.pruned_targets(),
-                self.targets,
-                &tags,
-                &self.briq.cfg.filter,
-                &mut delta,
-            );
-        }
-        timings.filter_s += t1.elapsed().as_secs_f64();
-        (cands, delta)
-    }
-
-    /// Flush engine totals and recycle the scratch buffers. `stats` is
-    /// the document's final (merged) filter totals, recorded exactly
-    /// where the former monolithic loop recorded them.
-    pub(crate) fn finish(self, timings: &mut StageTimings, stats: &FilterStats, rec: &Recorder) {
-        timings.rows_deduped += self.engine.rows_deduped();
-        timings.pairs_pruned += self.engine.pairs_pruned();
-        self.engine.record_into(rec);
-        stats.record_into(rec);
-        crate::arena::put_engine(self.engine);
-        crate::arena::put_retrieval_scratch(self.scratch);
-        rec.observe(names::ARENA_BYTES_PEAK, crate::arena::bytes_peak() as f64);
-    }
-}
-
 /// Shared early-return shape for a cancelled request: no alignments, no
 /// candidates, previously recorded diagnostics kept, plus exactly one
 /// [`DegradedAction::Cancelled`] entry naming the stage that observed the
@@ -992,7 +905,7 @@ pub(crate) fn cancelled_result(
 }
 
 /// Count the budget-truncation diagnostics of a finished document.
-pub(crate) fn record_budget_exhaustions(diags: &Diagnostics, rec: &Recorder) {
+fn record_budget_exhaustions(diags: &Diagnostics, rec: &Recorder) {
     rec.count(
         names::BUDGET_EXHAUSTIONS,
         diags

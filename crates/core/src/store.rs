@@ -1,48 +1,33 @@
-//! Versioned alignment store with incremental re-alignment (DESIGN.md §15).
+//! Versioned alignment store: a per-document output memo (DESIGN.md §15).
 //!
 //! The batch pipeline is stateless: every run recomputes every document
 //! from scratch, even though real workloads re-align near-identical page
-//! versions over and over. The [`AlignmentStore`] turns alignments into
-//! first-class precomputed artifacts: per document key it caches the
-//! text-side extraction, the table-side contexts and targets, every
-//! mention's classify/filter output, and the final alignments +
-//! diagnostics + filter totals, each guarded by a content fingerprint of
-//! exactly the inputs that artifact reads.
+//! versions over and over. The [`AlignmentStore`] memoizes each
+//! document's *output* — alignments, per-mention kept candidates,
+//! diagnostics and filter totals — under a stable per-document key,
+//! guarded by fingerprints of exactly the inputs that output is a pure
+//! function of: the model and budget, the paragraph text, and every
+//! table.
 //!
-//! On re-alignment of a new page version the store diffs fingerprints
-//! and serves the largest prefix of the pipeline it can prove unchanged:
+//! - **Hit** — every fingerprint matches: the memo is served verbatim.
+//!   Extraction, classify, filter, and resolution do not run at all.
+//! - **Miss or stale** — the document runs through the same stateless
+//!   pipeline `use_store: false` runs, and its output replaces the memo
+//!   (unless the run was cancelled: cancelled output is never cached).
 //!
-//! - **Full hit** — config, paragraph text, and every table fingerprint
-//!   match: the cached alignments, diagnostics, candidates, and filter
-//!   totals are served verbatim; classify, filter, and resolution do not
-//!   run at all.
-//! - **Text changed, tables unchanged** — the table side (per-table
-//!   contexts, targets, degenerate/truncation diagnostics) is replayed
-//!   from cache; the text side is re-extracted. Mentions whose own
-//!   fingerprint *and* the document's text-aggregate fingerprint are
-//!   unchanged are **clean**: their cached tags/candidates/filter deltas
-//!   are replayed. The rest are **dirty** (or **new**) and re-run
-//!   through the same per-mention `ClassifyPass` the full pipeline
-//!   uses.
-//! - **Tables changed** — every mention is dirty (the tagger reads every
-//!   table's quantities, so the per-mention read set spans all tables),
-//!   but the text side is still replayed from cache when the paragraph
-//!   is unchanged — and extraction is the slowest stage of the pipeline.
-//!
-//! Resolution is a global algorithm (every accepted alignment updates
-//! the graph the next walk runs on), so any changed document re-runs
-//! graph construction + resolution in full from the (partially replayed)
-//! candidate sets — through the very same `graph_resolve_stage` code
-//! the stateless path uses. That, plus the purity of each cached
-//! artifact in its fingerprinted inputs, is the bit-identity argument:
-//! the store can only ever replay values the full recompute would have
-//! produced.
-//! `use_store: false` (`--no-store`) is the CI oracle that
+//! There is no partial reuse. Resolution (Algorithm 1) is global to a
+//! document — every accepted alignment updates the graph the next walk
+//! runs on — so a changed document re-runs graph construction and every
+//! walk anyway, and an earlier per-mention replay tier reused no mention
+//! at all after paragraph edits while making the durable state ~95× the
+//! input (DESIGN.md §15 has the measurements). Bit identity is immediate:
+//! a hit replays what the pipeline produced from the same fingerprinted
+//! inputs. `use_store: false` (`--no-store`) is the CI oracle that
 //! byte-compares the two paths on real corpora every run.
 //!
 //! With [`StoreOptions::dir`] set, the store is additionally backed by
-//! the [`persist`] layer (DESIGN.md §16): every cached entry is appended
-//! to an on-disk novelty log, periodically compacted into snapshots, and
+//! the [`persist`] layer (DESIGN.md §16): every memo is appended to an
+//! on-disk novelty log, periodically compacted into snapshots, and
 //! recovered on the next open — so warm starts survive process restarts.
 //! [`StoreOptions::max_bytes`] bounds resident memory with LRU eviction.
 //! Neither changes any output: persistence and eviction only move work
@@ -58,17 +43,14 @@ use std::time::Instant;
 
 use briq_ml::tree::Node;
 use briq_ml::RandomForest;
-use briq_table::{Document, Table, TableMention};
+use briq_table::{Document, Table};
 
 use crate::batch::StageTimings;
-use crate::context::{DocContext, MentionContext, TableContext};
 use crate::error::{Budget, Diagnostics, Stage};
 use crate::filtering::{Candidate, FilterStats};
-use crate::mention::{text_mentions, Alignment, TextMention};
+use crate::mention::Alignment;
 use crate::obs::{names, Recorder};
-use crate::pipeline::{
-    cancelled_result, record_budget_exhaustions, AlignOptions, AlignOutput, Briq, ClassifyPass,
-};
+use crate::pipeline::{cancelled_result, AlignOptions, AlignOutput, Briq};
 
 /// Incremental FNV-1a hasher used for every content fingerprint. FNV is
 /// fully deterministic — no per-process seed — so fingerprints are
@@ -250,140 +232,47 @@ fn forest_fingerprint(fp: &mut Fingerprint, forest: &RandomForest) {
     }
 }
 
-/// Fingerprint of the document-global text aggregates the per-mention
-/// classify path reads: the paragraph stem set (feature f3), the
-/// paragraph noun phrases (f5), and the ordered paragraph word list (the
-/// tagger's global scope). A mention can only be clean if these are
-/// unchanged — they are part of every mention's read set.
-fn aggregate_fingerprint(ctx: &DocContext) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.usize(ctx.paragraph_words.len());
-    for w in &ctx.paragraph_words {
-        fp.str(w);
-    }
-    fp.usize(ctx.paragraph_phrases.len());
-    for p in &ctx.paragraph_phrases {
-        fp.str(p);
-    }
-    fp.usize(ctx.paragraph_word_list.len());
-    for w in &ctx.paragraph_word_list {
-        fp.str(w);
-    }
-    fp.finish()
-}
-
-/// Fingerprint of one text mention's classify-path read set: the parsed
-/// quantity (minus its byte span) and the mention-local context (minus
-/// its token index). Byte positions deliberately do NOT participate —
-/// classification never reads absolute positions (they only feed graph
-/// construction, which re-runs for any changed document), so a mention
-/// that merely *moved* is still clean.
-fn mention_fingerprint(m: &TextMention, mc: &MentionContext) -> u64 {
-    let mut fp = Fingerprint::new();
-    let q = &m.quantity;
-    fp.str(&q.raw);
-    fp.f64(q.value);
-    fp.f64(q.unnormalized);
-    fp.debug(&q.unit);
-    fp.bytes(&[q.precision]);
-    fp.debug(&q.approx);
-    fp.usize(mc.local_weights.len());
-    for (w, &v) in &mc.local_weights {
-        fp.str(w);
-        fp.f64(v);
-    }
-    fp.usize(mc.sentence_phrases.len());
-    for p in &mc.sentence_phrases {
-        fp.str(p);
-    }
-    fp.usize(mc.immediate_words.len());
-    for w in &mc.immediate_words {
-        fp.str(w);
-    }
-    fp.usize(mc.sentence_words.len());
-    for w in &mc.sentence_words {
-        fp.str(w);
-    }
-    fp.debug(&mc.inferred_aggregation);
-    fp.finish()
-}
-
-/// One mention's cached classify/filter output: kept candidates plus its
-/// private contribution to the document's filter totals. Pure in the
-/// mention fingerprint + aggregate fingerprint + table fingerprints +
-/// config fingerprint, all of which gate its replay.
-#[derive(Debug, Clone)]
-struct MentionArtifact {
-    fp: u64,
-    candidates: Vec<Candidate>,
-    stats: FilterStats,
-}
-
-/// Everything the store remembers about one document version.
+/// Everything the store remembers about one document version: the
+/// fingerprints a hit must match and the output it serves.
 #[derive(Debug)]
-pub(crate) struct DocEntry {
+pub(crate) struct DocMemo {
     config_fp: u64,
     text_fp: u64,
-    aggregate_fp: u64,
     table_fps: Vec<u64>,
-    /// Text-side extraction artifacts: mentions and the text half of the
-    /// context (`text_ctx.tables` is empty; table contexts live below so
-    /// the two sides invalidate independently).
-    text_mentions: Vec<TextMention>,
-    text_ctx: DocContext,
-    /// Table-side extraction artifacts.
-    table_contexts: Vec<TableContext>,
-    targets: Vec<TableMention>,
-    extract_diags: Diagnostics,
-    /// Per-mention classify/filter artifacts, parallel to `text_mentions`.
-    artifacts: Vec<MentionArtifact>,
-    /// Final document outputs, served verbatim on a full hit.
     alignments: Vec<Alignment>,
+    /// Kept candidates per text mention; its length is the mention count
+    /// a hit reports.
+    candidates: Vec<Vec<Candidate>>,
     diagnostics: Diagnostics,
     stats: FilterStats,
+    /// Alignment targets (single and virtual cells) of the document, for
+    /// the `targets` counter a hit reports.
+    targets: u64,
     approx_bytes: u64,
     /// LRU clock value of the last lookup that touched this entry
     /// (monotone per-store counter, not wall time). Not persisted.
     last_used: u64,
 }
 
-impl DocEntry {
+impl DocMemo {
+    /// True when the memo was computed from exactly these inputs.
+    fn matches(&self, config_fp: u64, text_fp: u64, table_fps: &[u64]) -> bool {
+        self.config_fp == config_fp && self.text_fp == text_fp && self.table_fps == table_fps
+    }
+
     /// Coarse resident-size estimate for the `store_bytes_peak` gauge:
     /// string payloads plus shallow container sizes. Observational only.
     fn estimate_bytes(&self) -> u64 {
-        fn strings<'a, I: IntoIterator<Item = &'a String>>(it: I) -> usize {
-            it.into_iter().map(|s| s.len() + 32).sum()
+        let mut n = std::mem::size_of::<DocMemo>() + self.table_fps.len() * 8;
+        for a in &self.alignments {
+            n += std::mem::size_of::<Alignment>() + a.mention_raw.len() + a.target.raw.len();
+            n += a.target.cells.len() * 16;
         }
-        let mut n = std::mem::size_of::<DocEntry>();
-        n += self.table_fps.len() * 8;
-        n += self.text_mentions.len() * std::mem::size_of::<TextMention>();
-        n += strings(self.text_mentions.iter().map(|m| &m.quantity.raw));
-        let ctx = &self.text_ctx;
-        n += std::mem::size_of_val(ctx.tokens.as_slice());
-        n += strings(&ctx.paragraph_words) + strings(&ctx.paragraph_phrases);
-        n += strings(&ctx.paragraph_word_list);
-        for mc in &ctx.mentions {
-            n += strings(mc.local_weights.keys()) + mc.local_weights.len() * 8;
-            n += strings(&mc.sentence_phrases);
-            n += strings(&mc.immediate_words) + strings(&mc.sentence_words);
+        for c in &self.candidates {
+            n += std::mem::size_of_val(c.as_slice()) + 24;
         }
-        for tc in &self.table_contexts {
-            n += strings(&tc.table_words) + strings(&tc.table_phrases);
-            for s in tc.row_words.iter().chain(&tc.col_words) {
-                n += strings(s);
-            }
-            for s in tc.row_phrases.iter().chain(&tc.col_phrases) {
-                n += strings(s);
-            }
-        }
-        n += self.targets.len() * std::mem::size_of::<TableMention>();
-        n += strings(self.targets.iter().map(|t| &t.raw));
-        for a in &self.artifacts {
-            n += a.candidates.len() * std::mem::size_of::<Candidate>() + 64;
-        }
-        n += self.alignments.len() * std::mem::size_of::<Alignment>();
-        n += strings(self.alignments.iter().map(|a| &a.mention_raw));
-        n += (self.diagnostics.items.len() + self.extract_diags.items.len()) * 128;
+        n += self.diagnostics.items.len() * 128;
+        n += (self.stats.total.len() + self.stats.kept.len()) * 64;
         n as u64
     }
 }
@@ -438,7 +327,7 @@ pub(crate) fn evict_plan(items: &[(u64, u64, u64)], max_bytes: u64) -> Vec<u64> 
     evict
 }
 
-/// A versioned, thread-shared cache of per-document alignment artifacts.
+/// A versioned, thread-shared memo of per-document alignment outputs.
 ///
 /// The store is deliberately **not** part of [`Briq`]: the system stays
 /// `Send + Sync + Clone` and batch/serve configs stay `Copy`; callers
@@ -451,7 +340,7 @@ pub(crate) fn evict_plan(items: &[(u64, u64, u64)], max_bytes: u64) -> Vec<u64> 
 #[derive(Debug)]
 pub struct AlignmentStore {
     model_fp: u64,
-    entries: Mutex<HashMap<u64, DocEntry>>,
+    entries: Mutex<HashMap<u64, DocMemo>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     invalidations: AtomicU64,
@@ -476,7 +365,7 @@ impl AlignmentStore {
     /// model fingerprint is computed once here; aligning through the
     /// store with a *different* (retrained/reconfigured) system
     /// invalidates entries on contact rather than serving stale
-    /// artifacts.
+    /// memos.
     pub fn for_system(briq: &Briq) -> AlignmentStore {
         // Infallible: `with_options` touches the filesystem only when a
         // persistence directory is set, and the defaults set none.
@@ -578,13 +467,13 @@ impl AlignmentStore {
 
     /// Lookups that found an entry but could not serve it verbatim
     /// (some fingerprint changed) — the entry was invalidated and
-    /// replaced by the incremental re-alignment's result.
+    /// replaced by the recomputed document's memo.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Mentions that actually re-ran classify/filter (dirty + new + all
-    /// mentions of cold documents).
+    /// Text mentions of every document the store recomputed (missed or
+    /// stale lookups that ran to completion); 0 when every lookup hit.
     pub fn mentions_realigned(&self) -> u64 {
         self.mentions_realigned.load(Ordering::Relaxed)
     }
@@ -766,216 +655,99 @@ impl AlignmentStore {
         doc: &Document,
         opts: &AlignOptions<'_>,
     ) -> AlignOutput {
-        let (budget, rec, cancel) = (&opts.budget, &opts.rec, &opts.cancel);
-        let mut timings = StageTimings::default();
+        let rec = &opts.rec;
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(cause) = cancel.cause() {
+        if let Some(cause) = opts.cancel.cause() {
+            let timings = StageTimings::default();
             return cancelled_result(Stage::Extraction, cause, Default::default(), timings, rec);
         }
 
-        // Fingerprint the inputs. Charged to the extract stage: it is
-        // the store's replacement for (most of) extraction.
-        let t_extract = Instant::now();
+        // Fingerprint the inputs. Charged to the extract stage: on a hit
+        // it replaces the whole pipeline.
+        let t_fp = Instant::now();
         let mut cfp = Fingerprint::new();
         cfp.u64(self.model_fp);
-        cfp.u64(budget_fingerprint(budget));
+        cfp.u64(budget_fingerprint(&opts.budget));
         let config_fp = cfp.finish();
         let text_fp = text_fingerprint(&doc.text);
         let table_fps: Vec<u64> = doc.tables.iter().map(table_fingerprint).collect();
 
-        // Full hit: serve the cached outputs verbatim. Classify, filter,
-        // and resolution are skipped entirely — `timings` shows zero for
-        // all three stages.
-        {
+        // Hit: serve the memo verbatim. Classify, filter, and resolution
+        // are skipped entirely — `timings` shows zero for all three. An
+        // entry whose fingerprints differ is stale and is taken out.
+        let stale = {
             let mut map = lock(&self.entries);
             if let Some(e) = map.get_mut(&key) {
-                if e.config_fp == config_fp && e.text_fp == text_fp && e.table_fps == table_fps {
+                if e.matches(config_fp, text_fp, &table_fps) {
                     e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     rec.count(names::STORE_HITS, 1);
-                    rec.count(names::MENTIONS, e.text_mentions.len() as u64);
-                    rec.count(names::TARGETS, e.targets.len() as u64);
-                    let mut out = AlignOutput {
+                    rec.count(names::MENTIONS, e.candidates.len() as u64);
+                    rec.count(names::TARGETS, e.targets);
+                    let timings = StageTimings {
+                        extract_s: t_fp.elapsed().as_secs_f64(),
+                        ..StageTimings::default()
+                    };
+                    return AlignOutput {
                         alignments: e.alignments.clone(),
                         stats: e.stats.clone(),
-                        candidates: e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
+                        candidates: e.candidates.clone(),
                         diagnostics: e.diagnostics.clone(),
                         timings,
                     };
-                    drop(map);
-                    out.timings.extract_s += t_extract.elapsed().as_secs_f64();
-                    return out;
                 }
             }
-        }
-
-        // Miss or stale: take the prior entry out (if any) and rebuild,
-        // replaying every artifact whose fingerprints still match.
-        let prior = {
-            let mut map = lock(&self.entries);
             map.remove(&key)
         };
-        if let Some(p) = &prior {
-            self.bytes_sub(p.approx_bytes);
+        if let Some(old) = stale {
+            self.bytes_sub(old.approx_bytes);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             rec.count(names::STORE_INVALIDATIONS, 1);
         }
-        // A config mismatch poisons everything; drop the entry outright.
-        let prior = prior.filter(|p| p.config_fp == config_fp);
+        let fp_s = t_fp.elapsed().as_secs_f64();
 
-        // Text side: replay when the paragraph is unchanged.
-        let (mentions, mut ctx) = match &prior {
-            Some(p) if p.text_fp == text_fp => (p.text_mentions.clone(), p.text_ctx.clone()),
-            _ => {
-                let m = text_mentions(doc);
-                let c = DocContext::build_with_tables(doc, &m, &briq.cfg.context, Vec::new());
-                (m, c)
-            }
+        // Miss or stale: recompute through the stateless pipeline.
+        let (mut out, targets) = briq.align_uncached(doc, opts);
+        out.timings.extract_s += fp_s;
+        let Some(targets) = targets else {
+            return out;
         };
-        // Table side: replay contexts, targets, and extraction
-        // diagnostics when every table is unchanged.
-        let tables_clean = prior.as_ref().is_some_and(|p| p.table_fps == table_fps);
-        let (table_contexts, targets, extract_diags) = match &prior {
-            Some(p) if tables_clean => (
-                p.table_contexts.clone(),
-                p.targets.clone(),
-                p.extract_diags.clone(),
-            ),
-            _ => briq.extract_table_side(doc, budget),
-        };
-        ctx.tables = table_contexts;
-        let mut diags = extract_diags.clone();
-        timings.extract_s += t_extract.elapsed().as_secs_f64();
-        rec.count(names::MENTIONS, mentions.len() as u64);
-        rec.count(names::TARGETS, targets.len() as u64);
-
-        // Classify/filter: replay clean mentions, re-run dirty/new ones.
-        // A mention is clean only if its own fingerprint, the document's
-        // text aggregates, every table, and the config are unchanged —
-        // exactly its read set (module docs).
-        let aggregate_fp = aggregate_fingerprint(&ctx);
-        let mention_fps: Vec<u64> = mentions
-            .iter()
-            .zip(&ctx.mentions)
-            .map(|(m, mc)| mention_fingerprint(m, mc))
-            .collect();
-        let mentions_clean = tables_clean
-            && prior
-                .as_ref()
-                .is_some_and(|p| p.aggregate_fp == aggregate_fp);
-        // k-th occurrence of a fingerprint matches the k-th cached
-        // occurrence: duplicates (e.g. the same number twice in a
-        // paragraph) stay unambiguous.
-        let mut cached: HashMap<u64, Vec<usize>> = HashMap::new();
-        if mentions_clean {
-            if let Some(p) = &prior {
-                for (i, a) in p.artifacts.iter().enumerate() {
-                    cached.entry(a.fp).or_default().push(i);
-                }
-            }
-        }
-        let mut occurrence: HashMap<u64, usize> = HashMap::new();
-        let mut pass: Option<ClassifyPass<'_>> = None;
-        let mut stats = FilterStats::default();
-        let mut artifacts = Vec::with_capacity(mentions.len());
-        let mut candidates = Vec::with_capacity(mentions.len());
-        let mut realigned = 0u64;
-        for (mi, &fp) in mention_fps.iter().enumerate() {
-            if let Some(cause) = cancel.cause() {
-                return cancelled_result(Stage::Classification, cause, diags, timings, rec);
-            }
-            let occ = occurrence.entry(fp).or_insert(0);
-            let slot = cached.get(&fp).and_then(|v| v.get(*occ)).copied();
-            *occ += 1;
-            match (slot, &prior) {
-                (Some(j), Some(p)) if mentions_clean => {
-                    let a = p.artifacts[j].clone();
-                    stats.merge(&a.stats);
-                    candidates.push(a.candidates.clone());
-                    artifacts.push(a);
-                }
-                _ => {
-                    let pass = pass.get_or_insert_with(|| {
-                        ClassifyPass::new(briq, doc, &mentions, &ctx, &targets, &mut timings, rec)
-                    });
-                    let (cands, delta) = pass.run_mention(mi, &mut timings, rec);
-                    realigned += 1;
-                    stats.merge(&delta);
-                    artifacts.push(MentionArtifact {
-                        fp,
-                        candidates: cands.clone(),
-                        stats: delta,
-                    });
-                    candidates.push(cands);
-                }
-            }
-        }
-        if let Some(p) = pass {
-            p.finish(&mut timings, &stats, rec);
-        }
+        let mentions = out.candidates.len() as u64;
         self.mentions_realigned
-            .fetch_add(realigned, Ordering::Relaxed);
-        rec.count(names::MENTIONS_REALIGNED, realigned);
-        timings.pairs_scored += realigned * targets.len() as u64;
-        rec.count(names::PAIRS_SCORED, realigned * targets.len() as u64);
+            .fetch_add(mentions, Ordering::Relaxed);
+        rec.count(names::MENTIONS_REALIGNED, mentions);
 
-        // Graph + resolution: always re-run for a changed document, via
-        // the same shared stage as the stateless path.
-        let alignments = match briq.graph_resolve_stage(
-            &mentions,
-            &ctx,
-            &targets,
-            &candidates,
-            &mut diags,
-            budget,
-            &mut timings,
-            rec,
-            cancel,
-        ) {
-            Ok(a) => a,
-            Err((stage, cause)) => return cancelled_result(stage, cause, diags, timings, rec),
-        };
-        record_budget_exhaustions(&diags, rec);
-
-        // Cache the new version. `ctx.tables` moves out so the text side
-        // is stored table-free and the two sides invalidate separately.
-        let table_contexts = std::mem::take(&mut ctx.tables);
-        let mut entry = DocEntry {
+        let mut memo = DocMemo {
             config_fp,
             text_fp,
-            aggregate_fp,
             table_fps,
-            text_mentions: mentions,
-            text_ctx: ctx,
-            table_contexts,
+            alignments: out.alignments.clone(),
+            candidates: out.candidates.clone(),
+            diagnostics: out.diagnostics.clone(),
+            stats: out.stats.clone(),
             targets,
-            extract_diags,
-            artifacts,
-            alignments: alignments.clone(),
-            diagnostics: diags.clone(),
-            stats: stats.clone(),
             approx_bytes: 0,
             last_used: self.tick.fetch_add(1, Ordering::Relaxed) + 1,
         };
-        entry.approx_bytes = entry.estimate_bytes();
-        // Encode for the novelty log before the entry moves into the
-        // map; the append itself happens after the lock drops so disk
-        // I/O never serializes other workers' lookups.
+        memo.approx_bytes = memo.estimate_bytes();
+        // Encode for the novelty log before the memo moves into the map;
+        // the append itself happens after the lock drops so disk I/O
+        // never serializes other workers' lookups.
         let payload = self
             .persist
             .as_ref()
-            .map(|_| persist::encode_record(key, &entry));
-        self.bytes_add(entry.approx_bytes);
+            .map(|_| persist::encode_record(key, &memo));
+        self.bytes_add(memo.approx_bytes);
         {
             let mut map = lock(&self.entries);
-            if let Some(old) = map.insert(key, entry) {
+            if let Some(old) = map.insert(key, memo) {
                 self.bytes_sub(old.approx_bytes);
             }
         }
         if let (Some(p), Some(payload)) = (&self.persist, payload) {
             // Persistence is best-effort on the hot path: an append or
             // snapshot failure costs durability (counted), never
-            // correctness — the in-memory entry is already cached.
+            // correctness — the in-memory memo is already cached.
             if p.append(&payload).is_err() {
                 self.persist_errors.fetch_add(1, Ordering::Relaxed);
             }
@@ -986,14 +758,7 @@ impl AlignmentStore {
         }
         self.evict_to_budget(rec);
         rec.observe(names::STORE_BYTES_PEAK, self.bytes_peak() as f64);
-
-        AlignOutput {
-            alignments,
-            stats,
-            candidates,
-            diagnostics: diags,
-            timings,
-        }
+        out
     }
 }
 
@@ -1123,6 +888,77 @@ mod tests {
         assert_eq!(incremental.stats, full.stats);
         assert_eq!(incremental.candidates, full.candidates);
         assert_eq!(store.invalidations(), 1);
+    }
+
+    #[test]
+    fn stale_memo_is_recomputed_in_full_and_replaced() {
+        let briq = Briq::untrained(BriqConfig::default());
+        let store = AlignmentStore::for_system(&briq);
+        let budget = Budget::default();
+        let d = sample();
+        let cold = stored(&briq, &store, 3, &d, &budget);
+        assert_eq!(store.mentions_realigned(), cold.candidates.len() as u64);
+        let edited = doc(&d.text.replace("38", "39"), d.tables[0].cells.clone());
+        store.reset_counters();
+        let changed = stored(&briq, &store, 3, &edited, &budget);
+        // A changed document re-runs every mention and replaces the memo.
+        assert_eq!(store.invalidations(), 1);
+        assert_eq!(store.hits(), 0);
+        assert_eq!(store.mentions_realigned(), changed.candidates.len() as u64);
+        assert_eq!(store.len(), 1);
+        // The new version is now the hit; the old one is stale.
+        assert_eq!(stored(&briq, &store, 3, &edited, &budget), changed);
+        assert_eq!(store.hits(), 1);
+        assert_eq!(stored(&briq, &store, 3, &d, &budget), cold);
+        assert_eq!(store.invalidations(), 2);
+    }
+
+    #[test]
+    fn budget_is_part_of_the_memo_key() {
+        let briq = Briq::untrained(BriqConfig::default());
+        let store = AlignmentStore::for_system(&briq);
+        let d = sample();
+        let tight = Budget {
+            max_virtual_cells_per_table: 1,
+            ..Budget::default()
+        };
+        stored(&briq, &store, 5, &d, &Budget::default());
+        let out = stored(&briq, &store, 5, &d, &tight);
+        assert_eq!(
+            store.hits(),
+            0,
+            "another budget must not be served the memo"
+        );
+        assert_eq!(store.invalidations(), 1);
+        let full = briq.align_with(
+            &d,
+            &AlignOptions {
+                budget: tight,
+                ..AlignOptions::default()
+            },
+        );
+        assert_eq!(out.diagnostics, full.diagnostics);
+        assert_eq!(out.candidates, full.candidates);
+    }
+
+    #[test]
+    fn cancelled_lookup_is_never_memoized() {
+        let briq = Briq::untrained(BriqConfig::default());
+        let store = AlignmentStore::for_system(&briq);
+        let d = sample();
+        let fired = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let opts = AlignOptions {
+            store: Some((&store, 9)),
+            cancel: crate::error::CancelToken::with_flag(fired),
+            ..AlignOptions::default()
+        };
+        let out = briq.align_with(&d, &opts);
+        assert!(out.alignments.is_empty() && out.candidates.is_empty());
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.mentions_realigned(), 0);
+        stored(&briq, &store, 9, &d, &Budget::default());
+        assert_eq!(store.hits(), 0, "the next lookup computes cold");
+        assert_eq!(store.len(), 1);
     }
 
     /// Brute-force LRU oracle: evict globally-least-recently-used

@@ -4,9 +4,9 @@
 //!
 //! The layer is std-only and deliberately small:
 //!
-//! - **Novelty log** (`novelty.log`) — every entry the store caches is
+//! - **Novelty log** (`novelty.log`) — every memo the store caches is
 //!   appended as one length-prefixed frame whose payload (store key +
-//!   full [`DocEntry`](super::AlignmentStore) encoding) is checksummed
+//!   document memo, see `encode_record`) is checksummed
 //!   with the same FNV-1a the content fingerprints use. Appends are the
 //!   only write on the hot path.
 //! - **Snapshot** (`snapshot-<gen>.briq`) — a compaction of the resident
@@ -28,8 +28,8 @@
 //! contract is *bit* identity, and `briq_json` degrades non-finite
 //! floats to `null`. Every `f64` round-trips through `to_bits()`, every
 //! string is length-prefixed UTF-8, every enum is a fixed `u8` tag, and
-//! every map/set is a `BTree*` whose iteration order is deterministic —
-//! so encode∘decode is the identity on every entry the pipeline can
+//! every map is a `BTreeMap` whose iteration order is deterministic —
+//! so encode∘decode is the identity on every memo the pipeline can
 //! produce, including NaN/∞ values from the non-finite chaos family.
 
 use std::collections::BTreeMap;
@@ -40,21 +40,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use briq_table::{Orientation, TableMention, TableMentionKind};
-use briq_text::cues::{AggregationKind, ApproxIndicator};
-use briq_text::quantity::QuantityMention;
-use briq_text::token::{Token, TokenKind};
+use briq_text::cues::AggregationKind;
 use briq_text::units::{Currency, Measure, Unit};
 
-use super::{DocEntry, Fingerprint, MentionArtifact};
-use crate::context::{DocContext, MentionContext, TableContext};
+use super::{DocMemo, Fingerprint};
 use crate::error::{DegradedAction, Diagnostic, Diagnostics, Stage};
 use crate::filtering::{Candidate, FilterStats};
-use crate::mention::{Alignment, TextMention};
+use crate::mention::Alignment;
 
 /// On-disk format version. Bumped on any incompatible codec or layout
 /// change; a manifest naming a different version marks the whole
-/// directory incompatible and it is rebuilt from scratch.
-pub const FORMAT_VERSION: u32 = 1;
+/// directory incompatible and it is rebuilt from scratch. Version 2
+/// records hold one document's output memo (DESIGN.md §16).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File name of the append-only novelty log inside the store directory.
 pub const LOG_FILE: &str = "novelty.log";
@@ -219,73 +217,6 @@ impl<'a> Dec<'a> {
 
 // --- leaf encoders/decoders -------------------------------------------------
 
-fn enc_string_vec(e: &mut Enc, v: &[String]) {
-    e.len(v.len());
-    for s in v {
-        e.str(s);
-    }
-}
-
-fn dec_string_vec(d: &mut Dec<'_>) -> Result<Vec<String>, DecodeError> {
-    let n = d.len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.str()?);
-    }
-    Ok(v)
-}
-
-fn enc_string_set(e: &mut Enc, v: &std::collections::BTreeSet<String>) {
-    e.len(v.len());
-    for s in v {
-        e.str(s);
-    }
-}
-
-fn dec_string_set(d: &mut Dec<'_>) -> Result<std::collections::BTreeSet<String>, DecodeError> {
-    let n = d.len()?;
-    let mut v = std::collections::BTreeSet::new();
-    for _ in 0..n {
-        v.insert(d.str()?);
-    }
-    Ok(v)
-}
-
-fn enc_set_vec(e: &mut Enc, v: &[std::collections::BTreeSet<String>]) {
-    e.len(v.len());
-    for s in v {
-        enc_string_set(e, s);
-    }
-}
-
-fn dec_set_vec(d: &mut Dec<'_>) -> Result<Vec<std::collections::BTreeSet<String>>, DecodeError> {
-    let n = d.len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(dec_string_set(d)?);
-    }
-    Ok(v)
-}
-
-fn enc_weight_map(e: &mut Enc, m: &BTreeMap<String, f64>) {
-    e.len(m.len());
-    for (k, &v) in m {
-        e.str(k);
-        e.f64(v);
-    }
-}
-
-fn dec_weight_map(d: &mut Dec<'_>) -> Result<BTreeMap<String, f64>, DecodeError> {
-    let n = d.len()?;
-    let mut m = BTreeMap::new();
-    for _ in 0..n {
-        let k = d.str()?;
-        let v = d.f64()?;
-        m.insert(k, v);
-    }
-    Ok(m)
-}
-
 fn enc_count_map(e: &mut Enc, m: &BTreeMap<String, usize>) {
     e.len(m.len());
     for (k, &v) in m {
@@ -303,27 +234,6 @@ fn dec_count_map(d: &mut Dec<'_>) -> Result<BTreeMap<String, usize>, DecodeError
         m.insert(k, v);
     }
     Ok(m)
-}
-
-fn enc_token_kind(e: &mut Enc, k: TokenKind) {
-    e.u8(match k {
-        TokenKind::Word => 0,
-        TokenKind::Number => 1,
-        TokenKind::Alphanumeric => 2,
-        TokenKind::Punct => 3,
-        TokenKind::Symbol => 4,
-    });
-}
-
-fn dec_token_kind(d: &mut Dec<'_>) -> Result<TokenKind, DecodeError> {
-    Ok(match d.u8()? {
-        0 => TokenKind::Word,
-        1 => TokenKind::Number,
-        2 => TokenKind::Alphanumeric,
-        3 => TokenKind::Punct,
-        4 => TokenKind::Symbol,
-        _ => return Err(DecodeError("bad token kind")),
-    })
 }
 
 fn enc_unit(e: &mut Enc, u: Unit) {
@@ -385,27 +295,6 @@ fn dec_unit(d: &mut Dec<'_>) -> Result<Unit, DecodeError> {
     })
 }
 
-fn enc_approx(e: &mut Enc, a: ApproxIndicator) {
-    e.u8(match a {
-        ApproxIndicator::Exact => 0,
-        ApproxIndicator::Approximate => 1,
-        ApproxIndicator::UpperBound => 2,
-        ApproxIndicator::LowerBound => 3,
-        ApproxIndicator::None => 4,
-    });
-}
-
-fn dec_approx(d: &mut Dec<'_>) -> Result<ApproxIndicator, DecodeError> {
-    Ok(match d.u8()? {
-        0 => ApproxIndicator::Exact,
-        1 => ApproxIndicator::Approximate,
-        2 => ApproxIndicator::UpperBound,
-        3 => ApproxIndicator::LowerBound,
-        4 => ApproxIndicator::None,
-        _ => return Err(DecodeError("bad approx indicator")),
-    })
-}
-
 fn agg_tag(a: AggregationKind) -> u8 {
     match a {
         AggregationKind::Sum => 0,
@@ -428,157 +317,6 @@ fn dec_agg(d: &mut Dec<'_>) -> Result<AggregationKind, DecodeError> {
         5 => AggregationKind::Max,
         6 => AggregationKind::Min,
         _ => return Err(DecodeError("bad aggregation kind")),
-    })
-}
-
-fn enc_text_mention(e: &mut Enc, m: &TextMention) {
-    e.usize(m.id);
-    let q: &QuantityMention = &m.quantity;
-    e.str(&q.raw);
-    e.f64(q.value);
-    e.f64(q.unnormalized);
-    enc_unit(e, q.unit);
-    e.u8(q.precision);
-    enc_approx(e, q.approx);
-    e.usize(q.start);
-    e.usize(q.end);
-}
-
-fn dec_text_mention(d: &mut Dec<'_>) -> Result<TextMention, DecodeError> {
-    let id = d.usize()?;
-    let raw = d.str()?;
-    let value = d.f64()?;
-    let unnormalized = d.f64()?;
-    let unit = dec_unit(d)?;
-    let precision = d.u8()?;
-    let approx = dec_approx(d)?;
-    let start = d.usize()?;
-    let end = d.usize()?;
-    Ok(TextMention {
-        id,
-        quantity: QuantityMention {
-            raw,
-            value,
-            unnormalized,
-            unit,
-            precision,
-            approx,
-            start,
-            end,
-        },
-    })
-}
-
-fn enc_token(e: &mut Enc, t: &Token) {
-    e.str(&t.text);
-    e.usize(t.start);
-    e.usize(t.end);
-    enc_token_kind(e, t.kind);
-}
-
-fn dec_token(d: &mut Dec<'_>) -> Result<Token, DecodeError> {
-    Ok(Token {
-        text: d.str()?,
-        start: d.usize()?,
-        end: d.usize()?,
-        kind: dec_token_kind(d)?,
-    })
-}
-
-fn enc_mention_ctx(e: &mut Enc, m: &MentionContext) {
-    enc_weight_map(e, &m.local_weights);
-    enc_string_set(e, &m.sentence_phrases);
-    enc_string_vec(e, &m.immediate_words);
-    enc_string_vec(e, &m.sentence_words);
-    match m.inferred_aggregation {
-        None => e.u8(0),
-        Some(a) => {
-            e.u8(1);
-            e.u8(agg_tag(a));
-        }
-    }
-    e.usize(m.token_index);
-}
-
-fn dec_mention_ctx(d: &mut Dec<'_>) -> Result<MentionContext, DecodeError> {
-    Ok(MentionContext {
-        local_weights: dec_weight_map(d)?,
-        sentence_phrases: dec_string_set(d)?,
-        immediate_words: dec_string_vec(d)?,
-        sentence_words: dec_string_vec(d)?,
-        inferred_aggregation: match d.u8()? {
-            0 => None,
-            1 => Some(dec_agg(d)?),
-            _ => return Err(DecodeError("bad option tag")),
-        },
-        token_index: d.usize()?,
-    })
-}
-
-fn enc_table_ctx(e: &mut Enc, t: &TableContext) {
-    enc_set_vec(e, &t.row_words);
-    enc_set_vec(e, &t.col_words);
-    enc_string_set(e, &t.table_words);
-    enc_set_vec(e, &t.row_phrases);
-    enc_set_vec(e, &t.col_phrases);
-    enc_string_set(e, &t.table_phrases);
-}
-
-fn dec_table_ctx(d: &mut Dec<'_>) -> Result<TableContext, DecodeError> {
-    Ok(TableContext {
-        row_words: dec_set_vec(d)?,
-        col_words: dec_set_vec(d)?,
-        table_words: dec_string_set(d)?,
-        row_phrases: dec_set_vec(d)?,
-        col_phrases: dec_set_vec(d)?,
-        table_phrases: dec_string_set(d)?,
-    })
-}
-
-fn enc_doc_ctx(e: &mut Enc, c: &DocContext) {
-    e.len(c.tokens.len());
-    for t in &c.tokens {
-        enc_token(e, t);
-    }
-    enc_string_set(e, &c.paragraph_words);
-    enc_string_vec(e, &c.paragraph_word_list);
-    enc_string_set(e, &c.paragraph_phrases);
-    e.len(c.tables.len());
-    for t in &c.tables {
-        enc_table_ctx(e, t);
-    }
-    e.len(c.mentions.len());
-    for m in &c.mentions {
-        enc_mention_ctx(e, m);
-    }
-}
-
-fn dec_doc_ctx(d: &mut Dec<'_>) -> Result<DocContext, DecodeError> {
-    let n = d.len()?;
-    let mut tokens = Vec::with_capacity(n);
-    for _ in 0..n {
-        tokens.push(dec_token(d)?);
-    }
-    let paragraph_words = dec_string_set(d)?;
-    let paragraph_word_list = dec_string_vec(d)?;
-    let paragraph_phrases = dec_string_set(d)?;
-    let n = d.len()?;
-    let mut tables = Vec::with_capacity(n);
-    for _ in 0..n {
-        tables.push(dec_table_ctx(d)?);
-    }
-    let n = d.len()?;
-    let mut mentions = Vec::with_capacity(n);
-    for _ in 0..n {
-        mentions.push(dec_mention_ctx(d)?);
-    }
-    Ok(DocContext {
-        tokens,
-        paragraph_words,
-        paragraph_word_list,
-        paragraph_phrases,
-        tables,
-        mentions,
     })
 }
 
@@ -751,91 +489,53 @@ fn dec_diagnostics(d: &mut Dec<'_>) -> Result<Diagnostics, DecodeError> {
     Ok(Diagnostics { items })
 }
 
-/// Encode one log/snapshot record payload: store key + full entry.
+/// Encode one log/snapshot record payload: store key, the memo's
+/// fingerprints and target count, then its output — per-mention
+/// candidates, alignments, diagnostics and filter totals.
 /// `approx_bytes` and the LRU clock are *not* encoded — both are
 /// recomputed on recovery, so the on-disk format stays a pure function
-/// of the cached artifact values.
-pub(crate) fn encode_record(key: u64, e: &DocEntry) -> Vec<u8> {
+/// of the memoized values.
+pub(crate) fn encode_record(key: u64, m: &DocMemo) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.u64(key);
-    enc.u64(e.config_fp);
-    enc.u64(e.text_fp);
-    enc.u64(e.aggregate_fp);
-    enc.len(e.table_fps.len());
-    for &fp in &e.table_fps {
+    enc.u64(m.config_fp);
+    enc.u64(m.text_fp);
+    enc.len(m.table_fps.len());
+    for &fp in &m.table_fps {
         enc.u64(fp);
     }
-    enc.len(e.text_mentions.len());
-    for m in &e.text_mentions {
-        enc_text_mention(&mut enc, m);
+    enc.u64(m.targets);
+    enc.len(m.candidates.len());
+    for c in &m.candidates {
+        enc_candidates(&mut enc, c);
     }
-    enc_doc_ctx(&mut enc, &e.text_ctx);
-    enc.len(e.table_contexts.len());
-    for t in &e.table_contexts {
-        enc_table_ctx(&mut enc, t);
-    }
-    enc.len(e.targets.len());
-    for t in &e.targets {
-        enc_table_mention(&mut enc, t);
-    }
-    enc_diagnostics(&mut enc, &e.extract_diags);
-    enc.len(e.artifacts.len());
-    for a in &e.artifacts {
-        enc.u64(a.fp);
-        enc_candidates(&mut enc, &a.candidates);
-        enc_filter_stats(&mut enc, &a.stats);
-    }
-    enc.len(e.alignments.len());
-    for a in &e.alignments {
+    enc.len(m.alignments.len());
+    for a in &m.alignments {
         enc_alignment(&mut enc, a);
     }
-    enc_diagnostics(&mut enc, &e.diagnostics);
-    enc_filter_stats(&mut enc, &e.stats);
+    enc_diagnostics(&mut enc, &m.diagnostics);
+    enc_filter_stats(&mut enc, &m.stats);
     enc.buf
 }
 
-/// Decode one record payload back into `(key, entry)`. Strict: the
+/// Decode one record payload back into `(key, memo)`. Strict: the
 /// payload must be consumed exactly; any slack or structural error is a
 /// decode failure (treated as corruption by recovery).
-pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, DocEntry), DecodeError> {
+pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, DocMemo), DecodeError> {
     let mut d = Dec::new(payload);
     let key = d.u64()?;
     let config_fp = d.u64()?;
     let text_fp = d.u64()?;
-    let aggregate_fp = d.u64()?;
     let n = d.len()?;
     let mut table_fps = Vec::with_capacity(n);
     for _ in 0..n {
         table_fps.push(d.u64()?);
     }
+    let targets = d.u64()?;
     let n = d.len()?;
-    let mut text_mentions = Vec::with_capacity(n);
+    let mut candidates = Vec::with_capacity(n);
     for _ in 0..n {
-        text_mentions.push(dec_text_mention(&mut d)?);
-    }
-    let text_ctx = dec_doc_ctx(&mut d)?;
-    let n = d.len()?;
-    let mut table_contexts = Vec::with_capacity(n);
-    for _ in 0..n {
-        table_contexts.push(dec_table_ctx(&mut d)?);
-    }
-    let n = d.len()?;
-    let mut targets = Vec::with_capacity(n);
-    for _ in 0..n {
-        targets.push(dec_table_mention(&mut d)?);
-    }
-    let extract_diags = dec_diagnostics(&mut d)?;
-    let n = d.len()?;
-    let mut artifacts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fp = d.u64()?;
-        let candidates = dec_candidates(&mut d)?;
-        let stats = dec_filter_stats(&mut d)?;
-        artifacts.push(MentionArtifact {
-            fp,
-            candidates,
-            stats,
-        });
+        candidates.push(dec_candidates(&mut d)?);
     }
     let n = d.len()?;
     let mut alignments = Vec::with_capacity(n);
@@ -845,25 +545,20 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, DocEntry), DecodeErr
     let diagnostics = dec_diagnostics(&mut d)?;
     let stats = dec_filter_stats(&mut d)?;
     d.finish()?;
-    let mut entry = DocEntry {
+    let mut memo = DocMemo {
         config_fp,
         text_fp,
-        aggregate_fp,
         table_fps,
-        text_mentions,
-        text_ctx,
-        table_contexts,
-        targets,
-        extract_diags,
-        artifacts,
         alignments,
+        candidates,
         diagnostics,
         stats,
+        targets,
         approx_bytes: 0,
         last_used: 0,
     };
-    entry.approx_bytes = entry.estimate_bytes();
-    Ok((key, entry))
+    memo.approx_bytes = memo.estimate_bytes();
+    Ok((key, memo))
 }
 
 // ---------------------------------------------------------------------------
@@ -911,7 +606,7 @@ fn check_header(bytes: &[u8], model_fp: u64) -> Option<u64> {
 /// invalid frame. Returns the decoded entries, the byte offset of the
 /// end of the last valid frame (= where a writer may safely resume
 /// appending), and whether a tear was found.
-fn read_frames(bytes: &[u8], start: usize) -> (Vec<(u64, DocEntry)>, u64, bool) {
+fn read_frames(bytes: &[u8], start: usize) -> (Vec<(u64, DocMemo)>, u64, bool) {
     let mut entries = Vec::new();
     let mut pos = start;
     loop {
@@ -1040,7 +735,7 @@ fn wipe_store_files(dir: &Path) {
 pub(crate) struct Recovered {
     /// Entries in replay order (snapshot first, then log); the caller
     /// inserts them last-wins per key.
-    pub entries: Vec<(u64, DocEntry)>,
+    pub entries: Vec<(u64, DocMemo)>,
     /// True if a torn tail was truncated in the snapshot or log.
     pub truncated: bool,
     /// True if incompatible/foreign files were discarded and the
@@ -1540,7 +1235,7 @@ mod tests {
         let text = fs::read_to_string(&manifest).expect("read manifest");
         fs::write(
             &manifest,
-            text.replace("format_version 1", "format_version 999"),
+            text.replace("format_version 2", "format_version 999"),
         )
         .expect("rewrite manifest");
 
@@ -1659,51 +1354,41 @@ mod tests {
         })
     }
 
-    fn any_artifact() -> impl Strategy<Value = MentionArtifact> {
-        (
-            (0u64..=u64::MAX),
-            proptest::collection::vec((0usize..4096, any_f64()), 0..8),
-            proptest::collection::vec((any_string(), 0usize..1000), 0..4),
-        )
-            .prop_map(|(fp, cands, counts)| MentionArtifact {
-                fp,
-                candidates: cands
-                    .into_iter()
-                    .map(|(target, score)| Candidate { target, score })
-                    .collect(),
-                stats: FilterStats {
-                    total: counts.iter().cloned().collect(),
-                    kept: counts.into_iter().map(|(k, v)| (k, v / 2)).collect(),
-                },
-            })
+    fn any_candidates() -> impl Strategy<Value = Vec<Candidate>> {
+        proptest::collection::vec((0usize..4096, any_f64()), 0..8).prop_map(|cands| {
+            cands
+                .into_iter()
+                .map(|(target, score)| Candidate { target, score })
+                .collect()
+        })
+    }
+
+    fn any_stats() -> impl Strategy<Value = FilterStats> {
+        proptest::collection::vec((any_string(), 0usize..1000), 0..4).prop_map(|counts| {
+            FilterStats {
+                total: counts.iter().cloned().collect(),
+                kept: counts.into_iter().map(|(k, v)| (k, v / 2)).collect(),
+            }
+        })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// encode → decode is the identity on arbitrary artifact sets —
-        /// checked in byte space (decode then re-encode reproduces the
-        /// exact payload) and on the artifact values themselves.
+        /// encode → decode is the identity on arbitrary memos — checked
+        /// in byte space (decode then re-encode reproduces the exact
+        /// payload) and on the memoized values themselves.
         #[test]
         fn record_roundtrip_is_identity(
             key in (0u64..=u64::MAX),
             fps in proptest::collection::vec(0u64..=u64::MAX, 0..4),
-            artifacts in proptest::collection::vec(any_artifact(), 0..6),
+            candidates in proptest::collection::vec(any_candidates(), 0..6),
+            stats in any_stats(),
             raw in any_string(),
             value in any_f64(),
             unit in any_unit(),
             scope in any_string(),
         ) {
-            let quantity = QuantityMention {
-                raw: raw.clone(),
-                value,
-                unnormalized: value,
-                unit,
-                precision: 3,
-                approx: ApproxIndicator::Approximate,
-                start: 7,
-                end: 7 + raw.len(),
-            };
             let target = TableMention {
                 table: 1,
                 kind: TableMentionKind::Aggregate(AggregationKind::Sum),
@@ -1715,88 +1400,58 @@ mod tests {
                 precision: 2,
                 orientation: Some(Orientation::Row(4)),
             };
-            let mut entry = DocEntry {
+            let mut memo = DocMemo {
                 config_fp: key.rotate_left(17),
                 text_fp: key.rotate_left(31),
-                aggregate_fp: key.rotate_left(43),
                 table_fps: fps,
-                text_mentions: vec![TextMention { id: 0, quantity: quantity.clone() }],
-                text_ctx: DocContext {
-                    tokens: vec![Token {
-                        text: raw.clone(),
-                        start: 0,
-                        end: raw.len(),
-                        kind: TokenKind::Number,
-                    }],
-                    paragraph_words: [raw.clone()].into_iter().collect(),
-                    paragraph_word_list: vec![raw.clone(), scope.clone()],
-                    paragraph_phrases: [scope.clone()].into_iter().collect(),
-                    tables: Vec::new(),
-                    mentions: vec![MentionContext {
-                        local_weights: [(raw.clone(), value)].into_iter().collect(),
-                        sentence_phrases: [scope.clone()].into_iter().collect(),
-                        immediate_words: vec![raw.clone()],
-                        sentence_words: vec![scope.clone()],
-                        inferred_aggregation: Some(AggregationKind::ChangeRatio),
-                        token_index: 5,
-                    }],
-                },
-                table_contexts: vec![TableContext {
-                    row_words: vec![[raw.clone()].into_iter().collect()],
-                    col_words: vec![[scope.clone()].into_iter().collect()],
-                    table_words: [raw.clone(), scope.clone()].into_iter().collect(),
-                    row_phrases: vec![Default::default()],
-                    col_phrases: vec![[raw.clone()].into_iter().collect()],
-                    table_phrases: Default::default(),
-                }],
-                targets: vec![target.clone()],
-                extract_diags: Diagnostics {
-                    items: vec![Diagnostic {
-                        stage: Stage::VirtualCells,
-                        scope: scope.clone(),
-                        error: raw.clone(),
-                        action: DegradedAction::Truncated,
-                    }],
-                },
-                artifacts,
                 alignments: vec![Alignment {
                     mention_start: 7,
                     mention_end: 9,
-                    mention_raw: raw,
+                    mention_raw: raw.clone(),
                     target,
                     score: value,
                 }],
-                diagnostics: Diagnostics::default(),
-                stats: FilterStats::default(),
+                candidates,
+                diagnostics: Diagnostics {
+                    items: vec![Diagnostic {
+                        stage: Stage::VirtualCells,
+                        scope,
+                        error: raw,
+                        action: DegradedAction::Truncated,
+                    }],
+                },
+                stats,
+                targets: key >> 7,
                 approx_bytes: 0,
                 last_used: 0,
             };
-            entry.approx_bytes = entry.estimate_bytes();
+            memo.approx_bytes = memo.estimate_bytes();
 
-            let payload = encode_record(key, &entry);
+            let payload = encode_record(key, &memo);
             let (key2, decoded) = decode_record(&payload).expect("decode");
             prop_assert_eq!(key, key2);
-            // Byte-space identity: re-encoding the decoded entry must
+            // Byte-space identity: re-encoding the decoded memo must
             // reproduce the payload exactly.
             prop_assert_eq!(encode_record(key2, &decoded), payload);
-            // Spot-check value-space identity on the surfaces that carry
-            // floats (bit equality, so NaN payloads count too).
-            prop_assert_eq!(decoded.alignments.len(), entry.alignments.len());
+            // Value-space identity on every field a hit serves (bit
+            // equality for floats, so NaN payloads count too).
+            prop_assert!(decoded.matches(memo.config_fp, memo.text_fp, &memo.table_fps));
+            prop_assert_eq!(decoded.targets, memo.targets);
             prop_assert_eq!(
                 decoded.alignments[0].score.to_bits(),
-                entry.alignments[0].score.to_bits()
+                memo.alignments[0].score.to_bits()
             );
-            prop_assert_eq!(decoded.artifacts.len(), entry.artifacts.len());
-            for (a, b) in decoded.artifacts.iter().zip(&entry.artifacts) {
-                prop_assert_eq!(a.fp, b.fp);
-                prop_assert_eq!(a.candidates.len(), b.candidates.len());
-                for (x, y) in a.candidates.iter().zip(&b.candidates) {
+            prop_assert_eq!(decoded.candidates.len(), memo.candidates.len());
+            for (a, b) in decoded.candidates.iter().zip(&memo.candidates) {
+                prop_assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(b) {
                     prop_assert_eq!(x.target, y.target);
                     prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
                 }
-                prop_assert_eq!(&a.stats, &b.stats);
             }
-            prop_assert_eq!(decoded.approx_bytes, entry.approx_bytes);
+            prop_assert_eq!(&decoded.diagnostics, &memo.diagnostics);
+            prop_assert_eq!(&decoded.stats, &memo.stats);
+            prop_assert_eq!(decoded.approx_bytes, memo.approx_bytes);
         }
 
         /// Truncating a valid record stream at ANY byte offset recovers

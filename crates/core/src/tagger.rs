@@ -35,46 +35,76 @@ pub struct MentionTagger {
     flats: Vec<FlatForest>,
 }
 
-/// Compute the tagger feature vector for a text mention.
-pub fn tagger_features(x: &TextMention, ctx: &DocContext, doc: &Document) -> Vec<f64> {
-    let m = &ctx.mentions[x.id];
-    let mut v = Vec::with_capacity(TAGGER_FEATURE_COUNT);
+/// The document-wide inputs of the tagger features, computed once per
+/// document: the paragraph-scope cue count of each evaluated aggregation
+/// kind, and the `(value, unnormalized)` pair of every table quantity.
+/// [`TaggerScope::features`] then reads them for each mention instead of
+/// recounting cues over the whole paragraph and walking every table.
+#[derive(Debug, Clone)]
+pub struct TaggerScope {
+    /// Global-scope cue count per kind, in [`AggregationKind::EVALUATED`]
+    /// order.
+    paragraph_cues: [f64; 4],
+    /// `(value, unnormalized)` of every table quantity, all tables.
+    table_values: Vec<(f64, f64)>,
+}
 
-    // Approximation indicator (categorical).
-    v.push(match x.quantity.approx {
-        ApproxIndicator::None => 0.0,
-        ApproxIndicator::Approximate => 1.0,
-        ApproxIndicator::Exact => 2.0,
-        ApproxIndicator::UpperBound => 3.0,
-        ApproxIndicator::LowerBound => 4.0,
-    });
-
-    // Cue counts per aggregation kind × scope.
-    let imm: Vec<&str> = m.immediate_words.iter().map(|s| s.as_str()).collect();
-    let loc: Vec<&str> = m.sentence_words.iter().map(|s| s.as_str()).collect();
-    let glob: Vec<&str> = ctx.paragraph_word_list.iter().map(|s| s.as_str()).collect();
-    for kind in AggregationKind::EVALUATED {
-        v.push(count_aggregation_cues(kind, &imm) as f64);
-        v.push(count_aggregation_cues(kind, &loc) as f64);
-        v.push(count_aggregation_cues(kind, &glob) as f64);
+impl TaggerScope {
+    /// Collect the per-document inputs of `doc` with context `ctx`.
+    pub fn new(ctx: &DocContext, doc: &Document) -> TaggerScope {
+        let glob: Vec<&str> = ctx.paragraph_word_list.iter().map(|s| s.as_str()).collect();
+        TaggerScope {
+            paragraph_cues: AggregationKind::EVALUATED
+                .map(|kind| count_aggregation_cues(kind, &glob) as f64),
+            table_values: doc
+                .tables
+                .iter()
+                .flat_map(|t| t.quantities().map(|(_, q)| (q.value, q.unnormalized)))
+                .collect(),
+        }
     }
 
-    // Scale, precision, unit category.
-    v.push(x.quantity.scale() as f64);
-    v.push(x.quantity.precision as f64);
-    v.push(tagger_unit_category(x.quantity.unit) as f64);
+    /// The tagger feature vector of text mention `x` of this document.
+    pub fn features(&self, x: &TextMention, ctx: &DocContext) -> Vec<f64> {
+        let m = &ctx.mentions[x.id];
+        let mut v = Vec::with_capacity(TAGGER_FEATURE_COUNT);
 
-    // Exact matches in tables (summed over all tables).
-    let exact = doc
-        .tables
-        .iter()
-        .flat_map(|t| t.quantities().map(|(_, q)| q))
-        .filter(|q| q.value == x.quantity.value || q.unnormalized == x.quantity.unnormalized)
-        .count();
-    v.push(exact as f64);
+        // Approximation indicator (categorical).
+        v.push(match x.quantity.approx {
+            ApproxIndicator::None => 0.0,
+            ApproxIndicator::Approximate => 1.0,
+            ApproxIndicator::Exact => 2.0,
+            ApproxIndicator::UpperBound => 3.0,
+            ApproxIndicator::LowerBound => 4.0,
+        });
 
-    debug_assert_eq!(v.len(), TAGGER_FEATURE_COUNT);
-    v
+        // Cue counts per aggregation kind × scope.
+        let imm: Vec<&str> = m.immediate_words.iter().map(|s| s.as_str()).collect();
+        let loc: Vec<&str> = m.sentence_words.iter().map(|s| s.as_str()).collect();
+        for (kind, &glob) in AggregationKind::EVALUATED.iter().zip(&self.paragraph_cues) {
+            v.push(count_aggregation_cues(*kind, &imm) as f64);
+            v.push(count_aggregation_cues(*kind, &loc) as f64);
+            v.push(glob);
+        }
+
+        // Scale, precision, unit category.
+        v.push(x.quantity.scale() as f64);
+        v.push(x.quantity.precision as f64);
+        v.push(tagger_unit_category(x.quantity.unit) as f64);
+
+        // Exact matches in tables (summed over all tables).
+        let exact = self
+            .table_values
+            .iter()
+            .filter(|&&(value, unnormalized)| {
+                value == x.quantity.value || unnormalized == x.quantity.unnormalized
+            })
+            .count();
+        v.push(exact as f64);
+
+        debug_assert_eq!(v.len(), TAGGER_FEATURE_COUNT);
+        v
+    }
 }
 
 /// Lexical detection of the *extended* aggregation kinds (average, min,
@@ -97,7 +127,7 @@ pub fn extended_lexical_tags(immediate_words: &[String]) -> Vec<AggregationKind>
 /// One tagger training instance.
 #[derive(Debug, Clone)]
 pub struct TaggerExample {
-    /// Feature vector from [`tagger_features`].
+    /// Feature vector from [`TaggerScope::features`].
     pub features: Vec<f64>,
     /// Gold tag (None = single cell).
     pub label: Option<AggregationKind>,
@@ -246,6 +276,41 @@ mod tests {
     use crate::mention::text_mentions;
     use briq_table::Table;
 
+    /// The per-mention tagger features as computed before
+    /// [`TaggerScope`] existed: every call recounts the paragraph-scope
+    /// cues and walks every table quantity. Kept as the reference the
+    /// per-document path must reproduce bit for bit.
+    fn tagger_features(x: &TextMention, ctx: &DocContext, doc: &Document) -> Vec<f64> {
+        let m = &ctx.mentions[x.id];
+        let mut v = Vec::with_capacity(TAGGER_FEATURE_COUNT);
+        v.push(match x.quantity.approx {
+            ApproxIndicator::None => 0.0,
+            ApproxIndicator::Approximate => 1.0,
+            ApproxIndicator::Exact => 2.0,
+            ApproxIndicator::UpperBound => 3.0,
+            ApproxIndicator::LowerBound => 4.0,
+        });
+        let imm: Vec<&str> = m.immediate_words.iter().map(|s| s.as_str()).collect();
+        let loc: Vec<&str> = m.sentence_words.iter().map(|s| s.as_str()).collect();
+        let glob: Vec<&str> = ctx.paragraph_word_list.iter().map(|s| s.as_str()).collect();
+        for kind in AggregationKind::EVALUATED {
+            v.push(count_aggregation_cues(kind, &imm) as f64);
+            v.push(count_aggregation_cues(kind, &loc) as f64);
+            v.push(count_aggregation_cues(kind, &glob) as f64);
+        }
+        v.push(x.quantity.scale() as f64);
+        v.push(x.quantity.precision as f64);
+        v.push(tagger_unit_category(x.quantity.unit) as f64);
+        let exact = doc
+            .tables
+            .iter()
+            .flat_map(|t| t.quantities().map(|(_, q)| q))
+            .filter(|q| q.value == x.quantity.value || q.unnormalized == x.quantity.unnormalized)
+            .count();
+        v.push(exact as f64);
+        v
+    }
+
     fn doc(text: &str) -> (Document, Vec<TextMention>, DocContext) {
         let d = Document::new(
             0,
@@ -267,14 +332,71 @@ mod tests {
     #[test]
     fn feature_vector_shape() {
         let (d, ms, ctx) = doc("a total of 73 patients were treated");
-        let v = tagger_features(&ms[0], &ctx, &d);
+        let v = TaggerScope::new(&ctx, &d).features(&ms[0], &ctx);
         assert_eq!(v.len(), TAGGER_FEATURE_COUNT);
+    }
+
+    #[test]
+    fn scope_features_match_per_mention_reference() {
+        let two_tables = Document::new(
+            0,
+            "In total, 73 patients were treated, up 38 from the 35 of last year. \
+             The share rose to 12.5%, a difference of about $3.2 million, while \
+             the average stayed near 38 and the maximum reached 99.",
+            vec![
+                Table::from_grid(
+                    "",
+                    vec![
+                        vec!["effect".into(), "patients".into()],
+                        vec!["Rash".into(), "35".into()],
+                        vec!["Depression".into(), "38".into()],
+                        vec!["Total".into(), "73".into()],
+                    ],
+                ),
+                Table::from_grid(
+                    "in millions",
+                    vec![
+                        vec!["year".into(), "cost".into(), "share".into()],
+                        vec!["2017".into(), "$3.2".into(), "12.5%".into()],
+                        vec!["2018".into(), "38".into(), "n/a".into()],
+                    ],
+                ),
+            ],
+        );
+        let mut docs = vec![two_tables];
+        for text in [
+            "a total of 73 patients were treated",
+            "exactly 38 patients and 99 others; overall 38 again, roughly 35",
+            "no cue words here, just 1,200 and 3.5 and 38",
+        ] {
+            docs.push(doc(text).0);
+        }
+        let mut checked = 0;
+        for d in &docs {
+            let ms = text_mentions(d);
+            let ctx = DocContext::build(d, &ms, &ContextConfig::default());
+            let scope = TaggerScope::new(&ctx, d);
+            for x in &ms {
+                let want: Vec<u64> = tagger_features(x, &ctx, d)
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .collect();
+                let got: Vec<u64> = scope
+                    .features(x, &ctx)
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{:?} in {:?}", x.quantity.raw, d.text);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 15, "only {checked} mentions checked");
     }
 
     #[test]
     fn sum_cues_counted_in_immediate_scope() {
         let (d, ms, ctx) = doc("a total of 73 patients were treated");
-        let v = tagger_features(&ms[0], &ctx, &d);
+        let v = TaggerScope::new(&ctx, &d).features(&ms[0], &ctx);
         // index 1 = sum/immediate
         assert!(v[1] >= 1.0, "{v:?}");
     }
@@ -282,8 +404,8 @@ mod tests {
     #[test]
     fn exact_match_count() {
         let (d, ms, ctx) = doc("exactly 38 patients and 99 others");
-        let v38 = tagger_features(&ms[0], &ctx, &d);
-        let v99 = tagger_features(&ms[1], &ctx, &d);
+        let v38 = TaggerScope::new(&ctx, &d).features(&ms[0], &ctx);
+        let v99 = TaggerScope::new(&ctx, &d).features(&ms[1], &ctx);
         assert_eq!(v38[TAGGER_FEATURE_COUNT - 1], 1.0);
         assert_eq!(v99[TAGGER_FEATURE_COUNT - 1], 0.0);
     }
@@ -292,7 +414,7 @@ mod tests {
     fn lexical_tagger_tags_sum() {
         let (d, ms, ctx) = doc("a total of 73 patients were treated");
         let tagger = MentionTagger::lexical(0.5);
-        let v = tagger_features(&ms[0], &ctx, &d);
+        let v = TaggerScope::new(&ctx, &d).features(&ms[0], &ctx);
         assert_eq!(tagger.tag(&v), Some(AggregationKind::Sum));
     }
 
@@ -300,7 +422,7 @@ mod tests {
     fn lexical_tagger_defaults_to_single_cell() {
         let (d, ms, ctx) = doc("depression was reported by 38 patients");
         let tagger = MentionTagger::lexical(0.5);
-        let v = tagger_features(&ms[0], &ctx, &d);
+        let v = TaggerScope::new(&ctx, &d).features(&ms[0], &ctx);
         assert_eq!(tagger.tag(&v), None);
     }
 
@@ -332,7 +454,7 @@ mod tests {
     #[test]
     fn threshold_controls_precision() {
         let (d, ms, ctx) = doc("a total of 73 patients were treated");
-        let v = tagger_features(&ms[0], &ctx, &d);
+        let v = TaggerScope::new(&ctx, &d).features(&ms[0], &ctx);
         let strict = MentionTagger::lexical(0.99);
         assert_eq!(strict.tag(&v), None); // lexical conf 0.75 < 0.99
     }

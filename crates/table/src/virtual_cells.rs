@@ -378,11 +378,30 @@ fn push_pair(
         cells: vec![a.pos, b.pos],
         value,
         unnormalized: value,
-        raw: format!("{}({:?},{:?})", kind.name(), a.pos, b.pos),
+        raw: pair_raw(kind, a.pos, b.pos),
         unit,
         precision: 0,
         orientation: Some(orientation),
     });
+}
+
+/// The surface form of a pair virtual cell: `kind(a,b)` with both
+/// positions in their `Debug` form, e.g. `diff((1, 2),(3, 4))`. Written
+/// through `Display` of the four indices: the `Debug` tuple formatter
+/// took most of the time virtual-cell generation spends.
+fn pair_raw(kind: AggregationKind, a: (usize, usize), b: (usize, usize)) -> String {
+    use std::fmt::Write;
+    let mut raw = String::with_capacity(32);
+    let _ = write!(
+        raw,
+        "{}(({}, {}),({}, {}))",
+        kind.name(),
+        a.0,
+        a.1,
+        b.0,
+        b.1
+    );
+    raw
 }
 
 /// All table mentions of a document: single cells plus virtual cells.
@@ -429,6 +448,22 @@ mod tests {
         .map(|r| r.into_iter().map(String::from).collect())
         .collect();
         Table::from_grid("", grid)
+    }
+
+    #[test]
+    fn pair_raw_is_the_debug_form_of_both_positions() {
+        for (a, b) in [
+            ((0, 0), (0, 1)),
+            ((1, 2), (3, 4)),
+            ((usize::MAX, 7), (10, 12345)),
+        ] {
+            for kind in [AggregationKind::Difference, AggregationKind::ChangeRatio] {
+                assert_eq!(
+                    pair_raw(kind, a, b),
+                    format!("{}({:?},{:?})", kind.name(), a, b)
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! pruning, see `briq_core::scoring`) is additionally held to the same
 //! standard against the exhaustive score-everything reference, through
 //! graph construction and resolution.
+//! Graph construction's text-text edges, which lowercase each mention
+//! once, are held to the per-pair lowercasing they replaced.
 
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
 use briq_core::filtering::{Candidate, FilterStats};
-use briq_core::graph_builder::build_graph_budgeted;
+use briq_core::graph_builder::{build_graph_budgeted, GraphConfig};
+use briq_core::jaro::jaro_winkler;
 use briq_core::mention::Alignment;
 use briq_core::pipeline::{
     heuristic_prior, heuristic_prior_masked, AlignOptions, Briq, BriqConfig, ScoredDocument,
@@ -351,4 +354,113 @@ fn end_to_end_scores_match_naive_recomputation() {
             }
         }
     }
+}
+
+/// Text-text edges `(i, j, weight bits)` as graph construction computed
+/// them with per-pair lowercasing: two `to_lowercase` calls and one
+/// string Jaro-Winkler per pair, in pair order, cut after `max_edges`
+/// and keeping only the weights the graph accepts (positive, finite).
+fn reference_text_text_edges(
+    sd: &ScoredDocument,
+    cfg: &GraphConfig,
+    max_edges: usize,
+) -> Vec<(usize, usize, u64)> {
+    let positions: Vec<usize> = sd.ctx.mentions.iter().map(|m| m.token_index).collect();
+    let len = sd.ctx.tokens.len().max(1) as f64;
+    let m = sd.mentions.len();
+    let (mut taken, mut edges) = (0usize, Vec::new());
+    for i in 0..m {
+        for j in (i + 1)..m {
+            let dist = positions[i].abs_diff(positions[j]);
+            let sim = jaro_winkler(
+                &sd.mentions[i].quantity.raw.to_lowercase(),
+                &sd.mentions[j].quantity.raw.to_lowercase(),
+            );
+            if dist <= cfg.proximity_window || sim >= cfg.similarity_threshold {
+                if taken == max_edges {
+                    return edges;
+                }
+                taken += 1;
+                let f_prox = 1.0 - (dist as f64 / len).min(1.0);
+                let w = cfg.lambda_proximity * f_prox + cfg.lambda_similarity * sim;
+                if w > 0.0 && w.is_finite() {
+                    edges.push((i, j, w.to_bits()));
+                }
+            }
+        }
+    }
+    edges
+}
+
+/// Text-text edges of the graph the builder produces for `sd`.
+fn built_text_text_edges(
+    sd: &ScoredDocument,
+    cfg: &GraphConfig,
+    max_edges: usize,
+) -> Vec<(usize, usize, u64)> {
+    let positions: Vec<usize> = sd.ctx.mentions.iter().map(|m| m.token_index).collect();
+    let m = sd.mentions.len();
+    let (ag, _) = build_graph_budgeted(
+        &sd.mentions,
+        &positions,
+        sd.ctx.tokens.len(),
+        &sd.targets,
+        &vec![Vec::new(); m],
+        cfg,
+        max_edges,
+    );
+    let mut edges = Vec::new();
+    for i in 0..m {
+        for &(j, w) in ag.graph.neighbors(i) {
+            if i < j && j < m {
+                edges.push((i, j, w.to_bits()));
+            }
+        }
+    }
+    edges
+}
+
+#[test]
+fn text_text_edges_match_per_pair_lowercasing() {
+    let briq = Briq::untrained(BriqConfig::default());
+    let cfg = GraphConfig::default();
+    let mut checked = 0usize;
+    let mut check = |sd: &ScoredDocument, max_edges: usize, scope: &str| {
+        let want = reference_text_text_edges(sd, &cfg, max_edges);
+        assert_eq!(built_text_text_edges(sd, &cfg, max_edges), want, "{scope}");
+        checked += want.len();
+    };
+    let corpus = generate_corpus(&CorpusConfig {
+        n_documents: 24,
+        seed: 20190408,
+        ..Default::default()
+    });
+    for (i, ld) in corpus.documents.iter().enumerate() {
+        let sd = briq.score_document(&ld.document);
+        check(&sd, usize::MAX, &format!("corpus doc {i}"));
+    }
+    // Mentions that differ only in case: the similarity of each such
+    // pair depends on lowercasing both sides.
+    let mixed_case = Document::new(
+        0,
+        "Sales reached $12.5M in 2018 against $12.5m a year earlier, \
+         shipments hit 3.2 Billion after 3.2 billion, and routes grew \
+         from 40 KM to 40 km.",
+        Vec::new(),
+    );
+    check(
+        &briq.score_document(&mixed_case),
+        usize::MAX,
+        "mixed-case mentions",
+    );
+    let budget = tight_budget();
+    for kind in Adversary::ALL {
+        for (i, doc) in adversarial_documents(kind, 20190408).iter().enumerate() {
+            let (sd, _diag) = briq.score_document_budgeted(doc, &budget);
+            let scope = format!("{} doc {i}", kind.name());
+            check(&sd, usize::MAX, &scope);
+            check(&sd, budget.max_graph_edges, &format!("{scope}, budgeted"));
+        }
+    }
+    assert!(checked >= 100, "only {checked} text-text edges compared");
 }

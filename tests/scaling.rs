@@ -2,8 +2,9 @@
 //! `briq_json::parse` reads megabyte model files and serve request lines,
 //! `html::parse_page` reads the page HTML those requests carry, and
 //! `extract_quantities` scans the paragraph text it yields; the
-//! numeral parser reads every number token, and the regex engine
-//! compiles and runs patterns over text. Each
+//! numeral parser reads every number token, the regex engine
+//! compiles and runs patterns over text, and a durable alignment store
+//! decodes its whole novelty log when it is reopened. Each
 //! shape is parsed at `n` and `8n` bytes; a linear parser takes about 8×
 //! as long on the larger input, a quadratic one about 64×. The bound
 //! sits well between the two. The smaller input keeps the fastest of
@@ -11,7 +12,13 @@
 //! the bound, so scheduler noise cannot trip the check — while a
 //! quadratic parser fails on its first, already over-budget try.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
+
+use briq_core::pipeline::{AlignOptions, Briq, BriqConfig};
+use briq_core::store::persist::LOG_FILE;
+use briq_core::store::{AlignmentStore, StoreOptions};
+use briq_table::{Document, Table};
 
 const N: usize = 32 * 1024;
 const RUNS: u32 = 7;
@@ -49,9 +56,22 @@ fn regex_matches(input: &str) {
 }
 
 fn assert_linear(shape: &str, parse: impl Fn(&str), make: impl Fn(usize) -> String) {
-    let (small, large) = (make(N), make(8 * N));
+    assert_linear_sized(shape, N, parse, make, str::len);
+}
+
+/// [`assert_linear`] at `n` and `8n` bytes, with the input's byte size
+/// read by `size` — for inputs that name their bytes rather than hold
+/// them, such as a store directory.
+fn assert_linear_sized(
+    shape: &str,
+    n: usize,
+    parse: impl Fn(&str),
+    make: impl Fn(usize) -> String,
+    size: impl Fn(&str) -> usize,
+) {
+    let (small, large) = (make(n), make(8 * n));
     assert!(
-        small.len() >= N && large.len() >= 8 * N,
+        size(&small) >= n && size(&large) >= 8 * n,
         "{shape}: inputs too small"
     );
     let t_small = (0..RUNS)
@@ -74,9 +94,9 @@ fn assert_linear(shape: &str, parse: impl Fn(&str), make: impl Fn(usize) -> Stri
         "{shape}: parsing 8x the input took {ratio:.1}x as long \
          ({:.4}s at {} bytes, {:.4}s at {} bytes)",
         t_small.as_secs_f64(),
-        small.len(),
+        size(&small),
         best.as_secs_f64(),
-        large.len()
+        size(&large)
     );
 }
 
@@ -209,4 +229,84 @@ fn regex_matches_long_text_in_linear_time() {
     assert_linear("numbers in prose", regex_matches, |n| {
         text_of("about 1,234 of ", n)
     });
+}
+
+/// Bytes of the store file header (magic, format version, model
+/// fingerprint, generation; DESIGN.md §16) ahead of the first frame.
+const STORE_HEADER_BYTES: usize = 24;
+
+/// A durable store directory whose novelty log holds at least `n` bytes
+/// of memo records and no snapshot, so a reopen decodes every record.
+/// A few documents are aligned for real; their logged frames are then
+/// repeated, which recovery replays last-write-wins per key. Returns the
+/// directory path.
+fn store_dir(n: usize) -> String {
+    let dir = std::env::temp_dir().join(format!("briq-scaling-store-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let briq = Briq::untrained(BriqConfig::default());
+    let store = AlignmentStore::with_options(&briq, &store_options(&dir)).expect("open store");
+    let doc = Document::new(
+        0,
+        "Revenue grew to $12.5 million in 2018, up from $9.1 million, \
+         while 38 of 123 stores reported losses.",
+        vec![Table::from_grid(
+            "Revenue",
+            vec![
+                vec!["year".into(), "revenue".into(), "stores".into()],
+                vec!["2017".into(), "$9.1M".into(), "123".into()],
+                vec!["2018".into(), "$12.5M".into(), "38".into()],
+            ],
+        )],
+    );
+    for key in 0..8 {
+        let opts = AlignOptions {
+            store: Some((&store, key)),
+            ..AlignOptions::default()
+        };
+        briq.align_with(&doc, &opts);
+    }
+    drop(store);
+    let log = dir.join(LOG_FILE);
+    let logged = std::fs::read(&log).expect("read log");
+    let (header, frames) = logged.split_at(STORE_HEADER_BYTES);
+    let mut bytes = header.to_vec();
+    while bytes.len() < n {
+        bytes.extend_from_slice(frames);
+    }
+    std::fs::write(&log, bytes).expect("write log");
+    dir.to_string_lossy().into_owned()
+}
+
+/// A durable store at `dir` that never compacts its log.
+fn store_options(dir: &Path) -> StoreOptions {
+    StoreOptions {
+        dir: Some(dir.to_path_buf()),
+        compact_log_bytes: u64::MAX,
+        ..StoreOptions::default()
+    }
+}
+
+fn store_reopen(dir: &str) {
+    let briq = Briq::untrained(BriqConfig::default());
+    let store =
+        AlignmentStore::with_options(&briq, &store_options(Path::new(dir))).expect("reopen store");
+    assert!(store.recovered_entries() > 0);
+    std::hint::black_box(store);
+}
+
+fn log_size(dir: &str) -> usize {
+    std::fs::metadata(Path::new(dir).join(LOG_FILE)).map_or(0, |m| m.len() as usize)
+}
+
+#[test]
+fn store_recovery_replays_its_log_in_linear_time() {
+    // Large enough that decoding, not the manifest write and fsync every
+    // open pays, dominates both reopens.
+    let n = 1024 * 1024;
+    let (small, large) = (store_dir(n), store_dir(8 * n));
+    let pick = |m: usize| if m == n { small.clone() } else { large.clone() };
+    assert_linear_sized("store reopen", n, store_reopen, pick, log_size);
+    for dir in [small, large] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
